@@ -67,6 +67,7 @@ use awb_accel::{
 use awb_bench::BENCH_SEED;
 use awb_datasets::{DatasetSpec, GeneratedDataset};
 use awb_gcn_model::GcnInput;
+use awb_sparse::json::Json;
 use awb_sparse::{spmm, Csc, DenseMatrix};
 use std::time::Instant;
 
@@ -535,40 +536,48 @@ fn write_bench(path: &str) {
     println!("wrote {path}:\n{json}");
 }
 
-fn check(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("BENCH check failed: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = validate_json(&text) {
-        eprintln!("BENCH check failed: {path} is not valid JSON: {e}");
+/// Reads and parses a bench file, exiting non-zero (with `what` as the
+/// failing step) when it cannot be read or is not valid JSON.
+fn read_bench(path: &str, what: &str) -> Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("BENCH {what} failed: cannot read {path}: {e}");
         std::process::exit(1);
-    }
-    for field in [
-        "\"bench\"",
-        "\"records\"",
-        "\"dataset\"",
-        "\"design\"",
-        "\"shards\"",
-        "\"xw_shards\"",
-        "\"workload\"",
-        "\"tasks\"",
-        "\"wall_s\"",
-        "\"tasks_per_s\"",
-        "\"p95_exec_ms\"",
-        "\"gflops\"",
-        "\"policy\"",
-        "\"auto_best_ratio\"",
-        "\"resident_peak_bytes\"",
-        "\"overlap_fraction\"",
-    ] {
-        if !text.contains(field) {
-            eprintln!("BENCH check failed: {path} lacks required field {field}");
-            std::process::exit(1);
-        }
+    });
+    Json::parse(&text).unwrap_or_else(|e| {
+        eprintln!("BENCH {what} failed: {path} is not valid JSON: {e}");
+        std::process::exit(1);
+    })
+}
+
+fn check(path: &str) {
+    let doc = read_bench(path, "check");
+    let records = doc.get("records").and_then(Json::as_array).unwrap_or(&[]);
+    let missing = ["bench", "records"]
+        .into_iter()
+        .find(|field| doc.get(field).is_none())
+        .or_else(|| {
+            [
+                "dataset",
+                "design",
+                "shards",
+                "xw_shards",
+                "workload",
+                "tasks",
+                "wall_s",
+                "tasks_per_s",
+                "p95_exec_ms",
+                "gflops",
+                "policy",
+                "auto_best_ratio",
+                "resident_peak_bytes",
+                "overlap_fraction",
+            ]
+            .into_iter()
+            .find(|field| !records.iter().any(|r| r.get(field).is_some()))
+        });
+    if let Some(field) = missing {
+        eprintln!("BENCH check failed: {path} lacks required field \"{field}\"");
+        std::process::exit(1);
     }
     println!("{path}: ok");
 }
@@ -599,48 +608,39 @@ struct Record {
     auto_best_ratio: Option<f64>,
 }
 
-/// Extracts the records of a bench file (one JSON object per line, as
-/// written by `write_bench`; field extraction is textual — no JSON crate
-/// is available offline, and `--check` already validated syntax).
-fn parse_records(text: &str, path: &str) -> Vec<Record> {
+/// Extracts the engine/serve/kernel records of a parsed bench file.
+fn parse_records(doc: &Json, path: &str) -> Vec<Record> {
     let mut records = Vec::new();
-    for line in text.lines().filter(|l| l.contains("\"dataset\"")) {
-        let field = |key: &str| -> Option<&str> {
-            let tag = format!("\"{key}\":");
-            let rest = &line[line.find(&tag)? + tag.len()..];
-            let rest = rest.trim_start();
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(rest[..end].trim().trim_matches('"'))
-        };
-        let (Some(design), Some(replay), Some(tps)) =
-            (field("design"), field("replay"), field("tasks_per_s"))
-        else {
-            eprintln!("BENCH compare: skipping unparsable record in {path}: {line}");
+    let all = doc.get("records").and_then(Json::as_array).unwrap_or(&[]);
+    for rec in all.iter().filter(|r| r.get("dataset").is_some()) {
+        let num = |key: &str| rec.get(key).and_then(Json::as_f64);
+        let count = |key: &str| rec.get(key).and_then(Json::as_u64).unwrap_or(1);
+        let (Some(design), Some(replay), Some(tasks_per_s)) = (
+            rec.get("design").and_then(Json::as_str),
+            rec.get("replay").and_then(Json::as_bool),
+            num("tasks_per_s"),
+        ) else {
+            eprintln!("BENCH compare: skipping unparsable record in {path}: {rec:?}");
             continue;
         };
-        let hit_rate = match (
-            field("replay_hits").and_then(|v| v.parse::<f64>().ok()),
-            field("replay_misses").and_then(|v| v.parse::<f64>().ok()),
-        ) {
+        let hit_rate = match (num("replay_hits"), num("replay_misses")) {
             (Some(h), Some(m)) if h + m > 0.0 => Some(h / (h + m)),
             _ => None,
         };
-        let shards = field("shards")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(1);
-        let xw_shards = field("xw_shards")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(1);
         records.push(Record {
             design: design.to_string(),
-            replay: replay == "true",
-            shards,
-            xw_shards,
-            workload: field("workload").unwrap_or("spmm").to_string(),
-            tasks_per_s: tps.parse().unwrap_or(0.0),
+            replay,
+            shards: count("shards"),
+            xw_shards: count("xw_shards"),
+            workload: rec
+                .get("workload")
+                .and_then(Json::as_str)
+                .unwrap_or("spmm")
+                .to_string(),
+            tasks_per_s,
             hit_rate,
-            p95_exec_ms: field("p95_exec_ms").and_then(|v| v.parse().ok()),
-            auto_best_ratio: field("auto_best_ratio").and_then(|v| v.parse().ok()),
+            p95_exec_ms: num("p95_exec_ms"),
+            auto_best_ratio: num("auto_best_ratio"),
         });
     }
     records
@@ -704,14 +704,8 @@ fn kernel_norm(records: &[Record], fallback: f64) -> f64 {
 /// about. Hit-rate drift also only warns (wall-clock is noisy, hit
 /// counts are not — a drift means caching behaviour itself changed).
 fn compare(fresh_path: &str, baseline_path: &str) {
-    let read = |path: &str| -> String {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("BENCH compare failed: cannot read {path}: {e}");
-            std::process::exit(1);
-        })
-    };
-    let fresh = parse_records(&read(fresh_path), fresh_path);
-    let baseline = parse_records(&read(baseline_path), baseline_path);
+    let fresh = parse_records(&read_bench(fresh_path, "compare"), fresh_path);
+    let baseline = parse_records(&read_bench(baseline_path, "compare"), baseline_path);
     if fresh.is_empty() || baseline.is_empty() {
         eprintln!("BENCH compare failed: no records ({fresh_path} / {baseline_path})");
         std::process::exit(1);
@@ -831,134 +825,4 @@ fn compare(fresh_path: &str, baseline_path: &str) {
         std::process::exit(1);
     }
     println!("{fresh_path} vs {baseline_path}: {matched} records compared, no regression");
-}
-
-/// Minimal JSON syntax validator (objects, arrays, strings, numbers,
-/// booleans, null). No external crates are available in this build
-/// environment, and the smoke file only needs a malformed/not-malformed
-/// verdict plus the field checks above.
-fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_literal(b, pos, "true"),
-        Some(b'f') => parse_literal(b, pos, "false"),
-        Some(b'n') => parse_literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at {pos:?}", *c as char)),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos:?}"));
-        }
-        *pos += 1;
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos:?}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos:?}")),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos:?}"));
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => *pos += 2,
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let token = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    token
-        .parse::<f64>()
-        .map(|_| ())
-        .map_err(|_| format!("bad number {token:?} at byte {start}"))
-}
-
-fn parse_literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos:?}"))
-    }
 }

@@ -22,19 +22,17 @@
 //! requests on one graph pay tuning once and hit the replay cache from
 //! request 1. See `DESIGN.md` §6.
 //!
-//! The sharded layer ([`ShardedEngine`] → [`ShardedPlan`] →
+//! The shard pipeline ([`ShardedEngine`] → [`ShardedPlan`] →
 //! [`ShardedSession`]) mirrors that shape across column-shard devices —
-//! one timing-only `FastEngine`/session per shard, merged numerics
-//! through the pinned global-order kernel — and serves both phases:
-//! `A × (XW)` under `AccelConfig.shards`, each layer's `X × W` under
-//! `AccelConfig.combination_shards`. See `DESIGN.md` §7/§8.
-//!
-//! The streaming layer ([`StreamingEngine`] → [`StreamedPlan`] →
-//! [`StreamedSession`]) lifts the same shard pipeline out of core: shards
-//! are planned from a chunked on-disk store's manifest and materialized
-//! two at a time (compute on one, prefetch the next), so peak resident
-//! sparse bytes stay under a host-memory budget while outputs remain
-//! bit-identical. See `DESIGN.md` §13.
+//! one timing-only `FastEngine`/session per shard, merged numerics in the
+//! pinned global order — and is written once over a [`ShardSource`] with
+//! two implementations. [`Resident`] holds every shard slice in memory and
+//! serves both GCN phases: `A × (XW)` under `AccelConfig.shards`, each
+//! layer's `X × W` under `AccelConfig.combination_shards`. [`Stored`]
+//! reads the slices from a chunked on-disk store two at a time (compute on
+//! one, prefetch the next), so peak resident sparse bytes stay under a
+//! host-memory budget while outputs remain bit-identical. See `DESIGN.md`
+//! §7/§8/§13.
 
 pub(crate) mod arena;
 mod detailed;
@@ -42,14 +40,16 @@ mod fast;
 mod plan;
 mod sharded;
 pub(crate) mod steady;
-pub(crate) mod streaming;
 
 pub use arena::{ArenaStats, Scratch, ScratchArena};
 pub use detailed::{DetailedEngine, TdqMode};
 pub use fast::FastEngine;
 pub use plan::{SpmmSession, TunedPlan};
-pub use sharded::{PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession};
-pub use streaming::{StreamPlanShard, StreamStats, StreamedPlan, StreamedSession, StreamingEngine};
+pub(crate) use sharded::store_err;
+pub use sharded::{
+    Pass, Resident, RunOne, Shard, ShardSource, ShardedEngine, ShardedOutcome, ShardedPlan,
+    ShardedSession, Stored, StreamStats, StreamedPlan, StreamingEngine,
+};
 
 use crate::config::AccelConfig;
 use crate::error::AccelError;
@@ -106,6 +106,12 @@ pub trait SpmmEngine {
 
     /// The engine's configuration.
     fn config(&self) -> &AccelConfig;
+
+    /// Streaming statistics of the engine's last run: `Some` only when it
+    /// streamed its sparse operand from an on-disk store.
+    fn stream_stats(&self) -> Option<StreamStats> {
+        None
+    }
 }
 
 pub(crate) fn check_shapes(a: &Csc, b: &DenseMatrix) -> Result<(), AccelError> {

@@ -136,6 +136,12 @@ impl TunedPlan {
         self.fingerprint
     }
 
+    /// Devices the plan spans: always one (the sharded plans report
+    /// theirs).
+    pub(crate) fn shard_count(&self) -> usize {
+        1
+    }
+
     /// Non-zeros of the planned operand.
     pub fn nnz(&self) -> usize {
         self.nnz

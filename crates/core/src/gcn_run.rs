@@ -20,10 +20,9 @@
 
 use crate::config::{AccelConfig, ShardPolicy, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET};
 use crate::cost::{self, AutoDecision, CostProfile};
-use crate::engine::streaming::store_err;
 use crate::engine::{
-    ArenaStats, FastEngine, ScratchArena, ShardedEngine, ShardedPlan, SpmmEngine, StreamStats,
-    StreamedPlan, StreamingEngine, TunedPlan,
+    store_err, ArenaStats, FastEngine, ScratchArena, ShardedEngine, ShardedPlan, SpmmEngine,
+    StreamStats, StreamedPlan, StreamingEngine, TunedPlan,
 };
 use crate::error::AccelError;
 use crate::pipeline::pipeline_two_stage;
@@ -56,20 +55,67 @@ impl GcnRunOutcome {
     }
 }
 
+/// A tuning-live `A`-side engine as the runner drives it: warmed up
+/// through [`SpmmEngine`], then frozen into the plan [`GcnPlan`] serves.
+trait AEngine: SpmmEngine {
+    fn freeze_a(&mut self, a: &Csc) -> Result<APlan, AccelError>;
+}
+
+impl AEngine for FastEngine {
+    fn freeze_a(&mut self, a: &Csc) -> Result<APlan, AccelError> {
+        self.freeze_plan(a).map(APlan::Single)
+    }
+}
+
+impl AEngine for ShardedEngine {
+    fn freeze_a(&mut self, a: &Csc) -> Result<APlan, AccelError> {
+        self.freeze_plan(a).map(APlan::Sharded)
+    }
+}
+
+impl AEngine for StreamingEngine {
+    fn freeze_a(&mut self, a: &Csc) -> Result<APlan, AccelError> {
+        self.freeze_plan(a).map(APlan::Streamed)
+    }
+}
+
+/// The frozen `A`-side tuning state a [`GcnPlan`] executes against: one
+/// [`TunedPlan`] on a single device, or one per column shard of either
+/// source.
+#[derive(Debug, Clone)]
+enum APlan {
+    Single(TunedPlan),
+    Sharded(ShardedPlan),
+    Streamed(StreamedPlan),
+}
+
+/// Evaluates `$body` with `$plan` bound to the `A`-side plan, whatever its
+/// kind — the one place a [`GcnPlan`] dispatches on it. Every kind has
+/// the accessors `GcnPlan` forwards, under the same names.
+macro_rules! with_a_plan {
+    ($a_plan:expr, |$plan:ident| $body:expr) => {
+        match $a_plan {
+            APlan::Single($plan) => $body,
+            APlan::Sharded($plan) => $body,
+            APlan::Streamed($plan) => $body,
+        }
+    };
+}
+
 /// The per-layer inference schedule, generic over how `A × (XW)` executes:
-/// a mutable [`FastEngine`] during warm-up (tuning live), a
-/// [`SpmmSession`](crate::SpmmSession) during per-request execution.
+/// a tuning-live engine during warm-up, a session on the frozen plan
+/// during per-request execution.
 /// `X × W` uses a fresh engine per layer (X differs per layer and
 /// request) — a single device, or one auto-tuned device per nnz-balanced
 /// column shard of `X` under [`AccelConfig::combination_shards`], merged
 /// through the pinned global-order kernel so layer outputs stay
 /// bit-identical either way.
-fn run_layers(
+fn run_layers<E: SpmmEngine + ?Sized>(
     config: &AccelConfig,
     a_csc: &Csc,
     weights: &[DenseMatrix],
     x1: &Csr,
-    engine_a: &mut dyn SpmmEngine,
+    engine_a: &mut E,
     xw_arena: Option<&Arc<ScratchArena>>,
 ) -> Result<GcnRunOutcome, AccelError> {
     let n_layers = weights.len();
@@ -155,7 +201,7 @@ fn run_layers(
             n_pes: config.n_pes,
         },
         x_density,
-        stream: None,
+        stream: engine_a.stream_stats(),
     })
 }
 
@@ -212,37 +258,7 @@ impl GcnRunner {
         if let Some(decision) = self.resolve_strategy(input) {
             return GcnRunner::new(decision.apply(&self.config)).run(input);
         }
-        // One engine per sparse operand: A's engine persists across layers
-        // so its tuned row map is reused. A configured store takes the
-        // out-of-core path (the builder rejects store + sharded A); it
-        // stays a concrete engine so the outcome can carry its streaming
-        // statistics.
-        if self.config.store.is_some() {
-            let mut engine_a = Self::open_streaming(&self.config, &input.a_norm_csc)?;
-            let mut outcome = run_layers(
-                &self.config,
-                &input.a_norm_csc,
-                &input.weights,
-                &input.x1,
-                &mut engine_a,
-                None,
-            )?;
-            outcome.stream = Some(engine_a.stream_stats());
-            return Ok(outcome);
-        }
-        let mut engine_a: Box<dyn SpmmEngine> = if self.config.shards == ShardPolicy::Single {
-            Box::new(FastEngine::new(self.config.clone()))
-        } else {
-            Box::new(ShardedEngine::new(self.config.clone()))
-        };
-        run_layers(
-            &self.config,
-            &input.a_norm_csc,
-            &input.weights,
-            &input.x1,
-            engine_a.as_mut(),
-            None,
-        )
+        Self::warm_up(&self.config, input).map(|(_, outcome)| outcome)
     }
 
     /// Resolves [`StrategyPolicy::Auto`] for `input`: profiles its
@@ -338,19 +354,18 @@ impl GcnRunner {
             None => self.config.clone(),
         };
 
-        let (a_plan, outcome, degraded, decision, plan_config) = if exec_config.store.is_some() {
-            // Out-of-core path: no degradation rung — a store that cannot
-            // be opened (or does not hold this graph) is a typed ingest
-            // error, not a condition a resident fallback could mask (the
-            // caller asked for bounded residency; silently loading the
-            // whole matrix would violate exactly that).
-            let (a_plan, outcome) = Self::prepare_streamed(&exec_config, input)?;
-            (a_plan, outcome, None, decision, exec_config)
-        } else if exec_config.shards == ShardPolicy::Single {
-            let (a_plan, outcome) = Self::prepare_single(&exec_config, input)?;
+        // Only a resident sharded prepare has a degradation rung. An
+        // out-of-core plan gets none: a store that cannot be opened (or
+        // does not hold this graph) is a typed ingest error, not a
+        // condition a resident fallback could mask (the caller asked for
+        // bounded residency; silently loading the whole matrix would
+        // violate exactly that).
+        let laddered = exec_config.store.is_none() && exec_config.shards != ShardPolicy::Single;
+        let (a_plan, outcome, degraded, decision, plan_config) = if !laddered {
+            let (a_plan, outcome) = Self::prepare_a(&exec_config, input)?;
             (a_plan, outcome, None, decision, exec_config)
         } else {
-            match Self::prepare_sharded(&exec_config, input) {
+            match Self::prepare_isolated(&exec_config, input) {
                 Ok((a_plan, outcome)) => (a_plan, outcome, None, decision, exec_config),
                 Err(reason) => {
                     // Degradation ladder, rung 2 (DESIGN.md §10): a failing
@@ -376,7 +391,7 @@ impl GcnRunner {
                         single.shards = ShardPolicy::Single;
                         (single, None)
                     };
-                    let (a_plan, outcome) = Self::prepare_single(&single, input)?;
+                    let (a_plan, outcome) = Self::prepare_a(&single, input)?;
                     (a_plan, outcome, Some(reason.to_string()), decision, single)
                 }
             }
@@ -385,11 +400,7 @@ impl GcnRunner {
         // arena (already warm from the prepare run) also serves the
         // per-layer X engines — a second pool would double retention and
         // let recycled XW buffers strand in the wrong pool.
-        let xw_arena = match &a_plan {
-            APlan::Single(plan) => Arc::clone(plan.arena()),
-            APlan::Sharded(plan) => Arc::clone(plan.merge_arena()),
-            APlan::Streamed(plan) => Arc::clone(plan.arena()),
-        };
+        let xw_arena = with_a_plan!(&a_plan, |plan| Arc::clone(plan.arena()));
         Ok((
             GcnPlan {
                 // The resolved configuration (identical to self.config
@@ -413,24 +424,40 @@ impl GcnRunner {
         ))
     }
 
-    /// The unsharded prepare path (also the sharded path's fallback).
-    fn prepare_single(
+    /// One cold inference on a fresh engine for `A`, which persists across
+    /// layers so its tuned row map is reused: the shard pipeline streaming
+    /// from the configured store (the builder rejects store + sharded A),
+    /// resident shards under a sharded policy, or a single device.
+    fn warm_up(
+        config: &AccelConfig,
+        input: &GcnInput,
+    ) -> Result<(Box<dyn AEngine>, GcnRunOutcome), AccelError> {
+        let a = &input.a_norm_csc;
+        let mut engine_a: Box<dyn AEngine> = if config.store.is_some() {
+            Box::new(Self::open_streaming(config, a)?)
+        } else if config.shards == ShardPolicy::Single {
+            Box::new(FastEngine::new(config.clone()))
+        } else {
+            Box::new(ShardedEngine::new(config.clone()))
+        };
+        let outcome = run_layers(
+            config,
+            a,
+            &input.weights,
+            &input.x1,
+            engine_a.as_mut(),
+            None,
+        )?;
+        Ok((engine_a, outcome))
+    }
+
+    /// The prepare path for every `A`-side engine: warm up, then freeze.
+    fn prepare_a(
         config: &AccelConfig,
         input: &GcnInput,
     ) -> Result<(APlan, GcnRunOutcome), AccelError> {
-        let mut engine_a = FastEngine::new(config.clone());
-        let outcome = run_layers(
-            config,
-            &input.a_norm_csc,
-            &input.weights,
-            &input.x1,
-            &mut engine_a,
-            None,
-        )?;
-        Ok((
-            APlan::Single(engine_a.freeze_plan(&input.a_norm_csc)?),
-            outcome,
-        ))
+        let (mut engine_a, outcome) = Self::warm_up(config, input)?;
+        Ok((engine_a.freeze_a(&input.a_norm_csc)?, outcome))
     }
 
     /// Opens (ingesting on first use) the configured store and builds the
@@ -451,32 +478,14 @@ impl GcnRunner {
             let chunk_nnz = (budget / 64).clamp(1, awb_sparse::store::DEFAULT_CHUNK_NNZ);
             SparseStore::write_with_chunk_nnz(dir, a, chunk_nnz).map_err(store_err)?
         };
-        StreamingEngine::new(config.clone(), Arc::new(store), budget)
+        StreamingEngine::from_store(config.clone(), Arc::new(store), budget)
     }
 
-    /// The out-of-core prepare path: warm up through the streaming engine
-    /// and freeze one tuned plan per stream shard.
-    fn prepare_streamed(
-        config: &AccelConfig,
-        input: &GcnInput,
-    ) -> Result<(APlan, GcnRunOutcome), AccelError> {
-        let mut engine_a = Self::open_streaming(config, &input.a_norm_csc)?;
-        let outcome = run_layers(
-            config,
-            &input.a_norm_csc,
-            &input.weights,
-            &input.x1,
-            &mut engine_a,
-            None,
-        )?;
-        Ok((APlan::Streamed(engine_a.freeze_plan()?), outcome))
-    }
-
-    /// The sharded prepare path, isolated behind `catch_unwind` so a
-    /// panicking shard worker (or the fault harness's `prepare:sharded`
-    /// site) surfaces as a typed error the caller can degrade on instead
-    /// of unwinding through the service.
-    fn prepare_sharded(
+    /// The resident sharded prepare path, isolated behind `catch_unwind`
+    /// so a panicking shard worker (or the fault harness's
+    /// `prepare:sharded` site) surfaces as a typed error the caller can
+    /// degrade on instead of unwinding through the service.
+    fn prepare_isolated(
         config: &AccelConfig,
         input: &GcnInput,
     ) -> Result<(APlan, GcnRunOutcome), AccelError> {
@@ -489,19 +498,7 @@ impl GcnRunner {
                     panic!("injected fault: sharded prepare");
                 }
             }
-            let mut engine_a = ShardedEngine::new(config.clone());
-            let outcome = run_layers(
-                config,
-                &input.a_norm_csc,
-                &input.weights,
-                &input.x1,
-                &mut engine_a,
-                None,
-            )?;
-            Ok((
-                APlan::Sharded(engine_a.freeze_plan(&input.a_norm_csc)?),
-                outcome,
-            ))
+            Self::prepare_a(config, input)
         }))
         .unwrap_or_else(|payload| {
             Err(AccelError::WorkerPanicked {
@@ -509,67 +506,6 @@ impl GcnRunner {
                 message: crate::exec::panic_message(payload.as_ref()),
             })
         })
-    }
-}
-
-/// The frozen `A`-side tuning state a [`GcnPlan`] executes against: one
-/// [`TunedPlan`] on a single device, or one per column shard.
-#[derive(Debug, Clone)]
-enum APlan {
-    Single(TunedPlan),
-    Sharded(ShardedPlan),
-    Streamed(StreamedPlan),
-}
-
-impl APlan {
-    /// The warm-up/replay counters both plan kinds expose; `GcnPlan`'s
-    /// accessors forward here so the variant dispatch lives in one place.
-    fn tuning_rounds(&self) -> usize {
-        match self {
-            APlan::Single(plan) => plan.tuning_rounds(),
-            APlan::Sharded(plan) => plan.tuning_rounds(),
-            APlan::Streamed(plan) => plan.tuning_rounds(),
-        }
-    }
-
-    fn total_switches(&self) -> u64 {
-        match self {
-            APlan::Single(plan) => plan.total_switches(),
-            APlan::Sharded(plan) => plan.total_switches(),
-            APlan::Streamed(plan) => plan.total_switches(),
-        }
-    }
-
-    fn replay_hits(&self) -> u64 {
-        match self {
-            APlan::Single(plan) => plan.replay_hits(),
-            APlan::Sharded(plan) => plan.replay_hits(),
-            APlan::Streamed(plan) => plan.replay_hits(),
-        }
-    }
-
-    fn replay_misses(&self) -> u64 {
-        match self {
-            APlan::Single(plan) => plan.replay_misses(),
-            APlan::Sharded(plan) => plan.replay_misses(),
-            APlan::Streamed(plan) => plan.replay_misses(),
-        }
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        match self {
-            APlan::Single(plan) => plan.memory_bytes(),
-            APlan::Sharded(plan) => plan.memory_bytes(),
-            APlan::Streamed(plan) => plan.memory_bytes(),
-        }
-    }
-
-    fn scratch_stats(&self) -> ArenaStats {
-        match self {
-            APlan::Single(plan) => plan.scratch_stats(),
-            APlan::Sharded(plan) => plan.scratch_stats(),
-            APlan::Streamed(plan) => plan.scratch_stats(),
-        }
     }
 }
 
@@ -665,16 +601,6 @@ impl GcnPlan {
         }
     }
 
-    /// The most recent request's streaming statistics (resident peak,
-    /// I/O bytes, prefetch overlap), when this plan streams `A` from a
-    /// store. `None` for resident plans.
-    pub fn stream_stats(&self) -> Option<StreamStats> {
-        match &self.a_plan {
-            APlan::Streamed(plan) => Some(plan.stream_stats()),
-            _ => None,
-        }
-    }
-
     /// Why the plan was degraded: `Some(reason)` when the configured
     /// sharded prepare failed and the runner fell back to this unsharded
     /// plan (outputs stay bit-identical; only the simulated device count
@@ -685,33 +611,29 @@ impl GcnPlan {
 
     /// Number of `A`-side shard devices (1 when unsharded).
     pub fn shard_count(&self) -> usize {
-        match &self.a_plan {
-            APlan::Single(_) => 1,
-            APlan::Sharded(plan) => plan.shard_count(),
-            APlan::Streamed(plan) => plan.shard_count(),
-        }
+        with_a_plan!(&self.a_plan, |plan| plan.shard_count())
     }
 
     /// Auto-tuning rounds the warm-up spent before freezing (summed over
     /// shards when sharded).
     pub fn tuning_rounds(&self) -> usize {
-        self.a_plan.tuning_rounds()
+        with_a_plan!(&self.a_plan, |plan| plan.tuning_rounds())
     }
 
     /// Rows exchanged by remote switching during the warm-up (summed over
     /// shards when sharded).
     pub fn total_switches(&self) -> u64 {
-        self.a_plan.total_switches()
+        with_a_plan!(&self.a_plan, |plan| plan.total_switches())
     }
 
     /// Steady-state rounds served from the shared replay cache(s).
     pub fn replay_hits(&self) -> u64 {
-        self.a_plan.replay_hits()
+        with_a_plan!(&self.a_plan, |plan| plan.replay_hits())
     }
 
     /// Steady-state rounds that had to be simulated (and were memoized).
     pub fn replay_misses(&self) -> u64 {
-        self.a_plan.replay_misses()
+        with_a_plan!(&self.a_plan, |plan| plan.replay_misses())
     }
 
     /// Estimated heap bytes this plan keeps resident while cached: the
@@ -723,7 +645,9 @@ impl GcnPlan {
     /// relative LRU budget needs.
     pub fn memory_bytes(&self) -> u64 {
         let weights: u64 = self.weights.iter().map(|w| w.heap_bytes() as u64).sum();
-        self.a_norm_csc.heap_bytes() as u64 + weights + self.a_plan.memory_bytes()
+        self.a_norm_csc.heap_bytes() as u64
+            + weights
+            + with_a_plan!(&self.a_plan, |plan| plan.memory_bytes())
     }
 
     /// Allocation/reuse counters over every scratch pool the plan owns.
@@ -732,7 +656,7 @@ impl GcnPlan {
     /// shard member's pool. `created` stable across warm requests ⇔
     /// steady-state inference is allocation-free on the accumulate path.
     pub fn scratch_stats(&self) -> ArenaStats {
-        self.a_plan.scratch_stats()
+        with_a_plan!(&self.a_plan, |plan| plan.scratch_stats())
     }
 
     /// Returns a finished request's output buffer to the plan's pool. A
@@ -747,12 +671,8 @@ impl GcnPlan {
     /// True when `input` carries the same graph (by structure fingerprint)
     /// and the same weights this plan was prepared for.
     pub fn matches(&self, input: &GcnInput) -> bool {
-        let graph_matches = match &self.a_plan {
-            APlan::Single(plan) => plan.matches(&input.a_norm_csc),
-            APlan::Sharded(plan) => plan.matches(&input.a_norm_csc),
-            APlan::Streamed(plan) => plan.matches(&input.a_norm_csc),
-        };
-        graph_matches && self.weights == input.weights
+        with_a_plan!(&self.a_plan, |plan| plan.matches(&input.a_norm_csc))
+            && self.weights == input.weights
     }
 
     /// Executes one feature-matrix request against the shared plan: same
@@ -768,26 +688,16 @@ impl GcnPlan {
     ///
     /// Propagates shape errors when `x1` does not match the graph/weights.
     pub fn run(&self, x1: &Csr) -> Result<GcnRunOutcome, AccelError> {
-        // The plan owns the adjacency the inner plan was built from, so
-        // the session can skip the per-layer O(nnz) fingerprint re-hash.
-        let mut session: Box<dyn SpmmEngine + '_> = match &self.a_plan {
-            APlan::Single(plan) => Box::new(plan.session_trusted()),
-            APlan::Sharded(plan) => Box::new(plan.session_trusted()),
-            // Streamed sessions re-verify against the store's checksummed
-            // column pointer instead of a fingerprint re-hash.
-            APlan::Streamed(plan) => Box::new(plan.session()),
-        };
-        let mut outcome = run_layers(
+        // The plan owns the adjacency its `A`-side plan was built from, so
+        // the session skips the per-layer O(nnz) fingerprint re-hash.
+        with_a_plan!(&self.a_plan, |plan| run_layers(
             &self.config,
             &self.a_norm_csc,
             &self.weights,
             x1,
-            session.as_mut(),
+            &mut plan.session_trusted(),
             Some(&self.xw_arena),
-        )?;
-        drop(session);
-        outcome.stream = self.stream_stats();
-        Ok(outcome)
+        ))
     }
 
     /// [`run`](GcnPlan::run) for a full [`GcnInput`], first validating it
@@ -1113,7 +1023,7 @@ mod tests {
         for layer in &served.stats.layers {
             assert_eq!(layer.a_xw.tuning_rounds(), 0);
         }
-        let stream = plan.stream_stats().expect("streamed plan reports stats");
+        let stream = served.stream.expect("streamed requests report stats");
         assert!(stream.shards > 1);
         assert!(stream.io_bytes > 0);
         assert!(

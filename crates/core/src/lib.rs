@@ -28,9 +28,11 @@
 //!
 //! Graphs bigger than one device run column-sharded ([`ShardPolicy`] /
 //! [`ShardedEngine`] / [`ShardedPlan`]): the adjacency is split into
-//! nnz-balanced column shards, each with its own auto-tuned PE array, and
-//! partial products merge in an order pinned bit-identical to the
-//! unsharded path (see `DESIGN.md` §7).
+//! column shards, each with its own auto-tuned PE array, and partial
+//! products merge in an order pinned bit-identical to the unsharded path
+//! (see `DESIGN.md` §7). One shard pipeline serves two [`ShardSource`]s:
+//! [`Resident`] slices held in memory, and [`Stored`] slices streamed from
+//! a chunked on-disk store under a host-memory budget (`DESIGN.md` §13).
 //!
 //! Strategy selection itself can be delegated to the calibrated per-layer
 //! cost model ([`StrategyPolicy::Auto`] / [`cost`]): prepare profiles the
@@ -84,9 +86,9 @@ pub use config::{
 pub use cost::{AutoDecision, Calibration, CostProfile, ExecOrder, IoForecast, LayerForecast};
 pub use energy::{cycles_to_ms, EnergyModel};
 pub use engine::{
-    ArenaStats, DetailedEngine, FastEngine, PlanOutcome, PlanShard, Scratch, ScratchArena,
-    ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession, SpmmEngine, SpmmOutcome,
-    SpmmSession, StreamPlanShard, StreamStats, StreamedPlan, StreamedSession, StreamingEngine,
+    ArenaStats, DetailedEngine, FastEngine, Pass, PlanOutcome, Resident, RunOne, Scratch,
+    ScratchArena, Shard, ShardSource, ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession,
+    SpmmEngine, SpmmOutcome, SpmmSession, Stored, StreamStats, StreamedPlan, StreamingEngine,
     TdqMode, TunedPlan,
 };
 pub use error::AccelError;

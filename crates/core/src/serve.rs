@@ -712,7 +712,7 @@ impl GcnService {
             degraded: plan.degraded().map(String::from),
             policy: self.config.strategy.label(),
             auto,
-            stream: plan.stream_stats(),
+            stream: warmup.stream,
             warmup,
         };
         self.graphs.insert(name, plan);

@@ -20,6 +20,8 @@
 //! * [`store`] — chunked on-disk store (`by_column`/`by_row` mirrors with
 //!   a JSON manifest) so graphs bigger than host memory stream in bounded
 //!   column windows.
+//! * [`json`] — the small JSON reader behind the store manifest and the
+//!   bench record files.
 //!
 //! # Example
 //!
@@ -50,6 +52,7 @@ mod csr;
 mod dense;
 mod error;
 pub mod io;
+pub mod json;
 pub mod ops_count;
 pub mod partition;
 pub mod profile;

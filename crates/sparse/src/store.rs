@@ -58,6 +58,7 @@
 //! # }
 //! ```
 
+use crate::json::Json;
 use crate::{Csc, Csr};
 use std::fmt;
 use std::fs;
@@ -917,7 +918,7 @@ fn bytes_to_f32(bytes: &[u8], path: &Path) -> StoreResult<Vec<f32>> {
 }
 
 // ---------------------------------------------------------------------
-// Manifest (hand-rolled JSON; the container has no cargo-registry route)
+// Manifest (JSON, read with the crate's `json` module)
 // ---------------------------------------------------------------------
 
 fn render_manifest(
@@ -968,48 +969,24 @@ struct ParsedManifest {
     by_row: Vec<ChunkProfile>,
 }
 
-/// Minimal JSON value for the manifest's shape (objects, arrays, strings,
-/// unsigned integers).
-enum Json {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
 fn parse_manifest(text: &str) -> std::result::Result<ParsedManifest, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let root = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!(
-            "trailing bytes after JSON value at offset {}",
-            p.pos
-        ));
-    }
-    let Json::Obj(fields) = root else {
+    let root = Json::parse(text)?;
+    if !matches!(root, Json::Obj(_)) {
         return Err("manifest root is not an object".into());
-    };
+    }
     let get = |key: &str| -> std::result::Result<&Json, String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+        root.get(key)
             .ok_or_else(|| format!("manifest missing `{key}`"))
     };
     let num = |key: &str| -> std::result::Result<u64, String> {
-        match get(key)? {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("manifest `{key}` is not an unsigned integer")),
-        }
+        get(key)?
+            .as_u64()
+            .ok_or_else(|| format!("manifest `{key}` is not an unsigned integer"))
     };
-    match get("format")? {
-        Json::Str(s) if s == FORMAT_NAME => {}
-        Json::Str(s) => return Err(format!("unknown store format `{s}`")),
-        _ => return Err("manifest `format` is not a string".into()),
+    match get("format")?.as_str() {
+        Some(FORMAT_NAME) => {}
+        Some(s) => return Err(format!("unknown store format `{s}`")),
+        None => return Err("manifest `format` is not a string".into()),
     }
     let version = num("version")?;
     if version != FORMAT_VERSION {
@@ -1018,22 +995,23 @@ fn parse_manifest(text: &str) -> std::result::Result<ParsedManifest, String> {
         ));
     }
     let chunks = |key: &str| -> std::result::Result<Vec<ChunkProfile>, String> {
-        let Json::Arr(items) = get(key)? else {
-            return Err(format!("manifest `{key}` is not an array"));
-        };
+        let items = get(key)?
+            .as_array()
+            .ok_or_else(|| format!("manifest `{key}` is not an array"))?;
         items
             .iter()
             .enumerate()
             .map(|(i, item)| {
-                let Json::Obj(f) = item else {
+                if !matches!(item, Json::Obj(_)) {
                     return Err(format!("`{key}[{i}]` is not an object"));
-                };
+                }
                 let field = |name: &str| -> std::result::Result<u64, String> {
-                    match f.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
-                        Some(Json::Num(n)) => Ok(*n),
-                        Some(_) => Err(format!("`{key}[{i}].{name}` is not an unsigned integer")),
-                        None => Err(format!("`{key}[{i}]` missing `{name}`")),
-                    }
+                    let value = item
+                        .get(name)
+                        .ok_or_else(|| format!("`{key}[{i}]` missing `{name}`"))?;
+                    value
+                        .as_u64()
+                        .ok_or_else(|| format!("`{key}[{i}].{name}` is not an unsigned integer"))
                 };
                 Ok(ChunkProfile {
                     lines: field("start")? as usize..field("end")? as usize,
@@ -1052,132 +1030,6 @@ fn parse_manifest(text: &str) -> std::result::Result<ParsedManifest, String> {
         by_column: chunks("by_column")?,
         by_row: chunks("by_row")?,
     })
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> std::result::Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn parse_value(&mut self) -> std::result::Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b) if b.is_ascii_digit() => self.parse_number(),
-            Some(b) => Err(format!(
-                "unexpected byte `{}` at offset {} (only objects, arrays, strings, and \
-                 unsigned integers appear in a store manifest)",
-                *b as char, self.pos
-            )),
-            None => Err("unexpected end of manifest".into()),
-        }
-    }
-
-    fn parse_object(&mut self) -> std::result::Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> std::result::Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> std::result::Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'"' => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "non-UTF8 string".to_string())?
-                        .to_string();
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                b'\\' => {
-                    return Err(format!(
-                        "escape sequence at offset {} (store manifests never contain them)",
-                        self.pos
-                    ))
-                }
-                _ => self.pos += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn parse_number(&mut self) -> std::result::Result<Json, String> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<u64>()
-            .map(Json::Num)
-            .map_err(|_| format!("number `{text}` does not fit u64"))
-    }
 }
 
 #[cfg(test)]
@@ -1490,6 +1342,28 @@ mod tests {
         // Unsupported version is a parse error, not a misread.
         let future = text.replace("\"version\": 1", "\"version\": 2");
         assert!(parse_manifest(&future).is_err());
+    }
+
+    #[test]
+    fn manifest_typing_is_strict() {
+        let text = render_manifest(9, 8, 0, 6, &[("by_column", &vec![]), ("by_row", &vec![])]);
+        assert!(parse_manifest(&text).is_ok());
+        for (from, to) in [
+            ("\"rows\": 9", "\"rows\": 9.5"),
+            ("\"rows\": 9", "\"rows\": -9"),
+            ("\"rows\": 9", "\"rows\": 9e0"),
+            ("\"rows\": 9", "\"rows\": 99999999999999999999"),
+            ("\"rows\": 9", "\"rows\": \"9\""),
+            ("\"rows\": 9", "\"rows\": true"),
+            ("\"rows\": 9", "\"rows\": null"),
+            ("\"awb-sparse-store\"", "\"awb-sparse-store\\n\""),
+            ("\"awb-sparse-store\"", "\"awb-sparse\\q-store\""),
+        ] {
+            assert!(
+                parse_manifest(&text.replace(from, to)).is_err(),
+                "{to} accepted"
+            );
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ use std::process::ExitCode;
 use awb_gcn_repro::accel::{
     sweep_csv, trace, AccelConfig, AccelError, Design, DesignSweep, FaultPlan, GcnRunner,
     GcnService, IsolatedBatch, LatencyPercentiles, RequestOutcome, RetryPolicy, ServeOptions,
-    ShardPolicy, StrategyPolicy,
+    ShardPolicy, StrategyPolicy, StreamStats,
 };
 use awb_gcn_repro::datasets::rng::Pcg64;
 use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset, PaperDataset};
@@ -378,6 +378,19 @@ fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
+/// The streaming report line of a store-streamed run or prepare.
+fn print_stream(config: &AccelConfig, stream: &StreamStats, peak: &str) {
+    let store = config.store.as_deref();
+    println!(
+        "streaming : {} shard(s) from {}, {peak} {}, {} read, prefetch overlap {:.0}%",
+        stream.shards,
+        store.map_or_else(|| "store".to_string(), |d| d.display().to_string()),
+        fmt_bytes(stream.resident_peak_bytes as u64),
+        fmt_bytes(stream.io_bytes),
+        stream.overlap_fraction() * 100.0,
+    );
+}
+
 fn next_value<'a>(
     it: &mut std::slice::Iter<'a, String>,
     flag: &str,
@@ -581,18 +594,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
     }
     if let Some(stream) = &outcome.stream {
-        println!(
-            "streaming : {} shard(s) from {}, resident peak {}, {} read, \
-             prefetch overlap {:.0}%",
-            stream.shards,
-            config
-                .store
-                .as_deref()
-                .map_or_else(|| "store".to_string(), |d| d.display().to_string()),
-            fmt_bytes(stream.resident_peak_bytes as u64),
-            fmt_bytes(stream.io_bytes),
-            stream.overlap_fraction() * 100.0,
-        );
+        print_stream(&config, stream, "resident peak");
     }
     for spmm in outcome.stats.spmms() {
         println!(
@@ -757,18 +759,7 @@ fn serve(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
     }
     if let Some(stream) = &report.stream {
-        println!(
-            "streaming : {} shard(s) from {}, warm-up resident peak {}, {} read, \
-             prefetch overlap {:.0}%",
-            stream.shards,
-            config
-                .store
-                .as_deref()
-                .map_or_else(|| "store".to_string(), |d| d.display().to_string()),
-            fmt_bytes(stream.resident_peak_bytes as u64),
-            fmt_bytes(stream.io_bytes),
-            stream.overlap_fraction() * 100.0,
-        );
+        print_stream(&config, stream, "warm-up resident peak");
     }
 
     let serve_start = std::time::Instant::now();

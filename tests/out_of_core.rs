@@ -81,6 +81,27 @@ fn pubmed_streams_from_store_bit_identical_under_budget() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `prepare`'s warm-up is the cold run, streaming statistics included:
+/// one full pass over the column mirror, reported on the warm-up outcome.
+#[test]
+fn prepare_warmup_reports_its_own_stream_stats() {
+    let spec = DatasetSpec::cora().with_nodes(512);
+    let input = input_for(&spec, 13);
+    let dir = scratch_dir("prepare");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut config = AccelConfig::builder().n_pes(32).build().unwrap();
+    config.store = Some(dir.clone());
+    config.host_mem_budget = Some(input.a_norm_csc.heap_bytes() / 2);
+
+    let (_plan, warmup) = GcnRunner::new(config).prepare(&input).unwrap();
+    let stream = warmup.stream.expect("a streamed warm-up reports stats");
+    assert!(stream.shards > 1);
+    let store = SparseStore::open(&dir).unwrap();
+    assert_eq!(stream.io_bytes, store.column_disk_bytes());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The serving front-end surfaces streaming in its prepare report and
 /// keeps served outputs bit-identical to resident cold runs.
 #[test]
@@ -106,7 +127,9 @@ fn service_reports_streaming_and_serves_identical_outputs() {
     assert!(stream.resident_peak_bytes <= budget);
     assert!(stream.io_bytes > 0);
 
-    let outcome = service.serve("cora", std::slice::from_ref(&input.x1)).unwrap();
+    let outcome = service
+        .serve("cora", std::slice::from_ref(&input.x1))
+        .unwrap();
     assert_eq!(
         bits(&outcome.requests[0].outcome.output),
         bits(&reference.output)
