@@ -47,8 +47,8 @@ pub use fast::FastEngine;
 pub use plan::{SpmmSession, TunedPlan};
 pub(crate) use sharded::store_err;
 pub use sharded::{
-    Pass, Resident, RunOne, Shard, ShardSource, ShardedEngine, ShardedOutcome, ShardedPlan,
-    ShardedSession, Stored, StreamStats, StreamedPlan, StreamingEngine,
+    Resident, Shard, ShardSource, ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession,
+    Stored, StreamStats, StreamedPlan, StreamingEngine,
 };
 
 use crate::config::AccelConfig;

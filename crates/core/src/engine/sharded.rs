@@ -158,7 +158,7 @@ pub(crate) fn store_err(e: StoreError) -> AccelError {
 
 /// Merges per-shard SPMM statistics into the critical-path view (see the
 /// module docs for the exact semantics).
-pub(crate) fn merge_stats(label: &str, per_shard: &[SpmmStats]) -> SpmmStats {
+fn merge_stats(label: &str, per_shard: &[SpmmStats]) -> SpmmStats {
     let n_pes: usize = per_shard.iter().map(|s| s.n_pes).sum();
     // Shards may report unequal round counts (e.g. per-shard tuning that
     // converged at different columns, or a degenerate empty shard): merge

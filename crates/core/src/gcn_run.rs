@@ -396,11 +396,6 @@ impl GcnRunner {
                 }
             }
         };
-        // One unified pool for the whole plan: the frozen A-side plan's
-        // arena (already warm from the prepare run) also serves the
-        // per-layer X engines — a second pool would double retention and
-        // let recycled XW buffers strand in the wrong pool.
-        let xw_arena = with_a_plan!(&a_plan, |plan| Arc::clone(plan.arena()));
         Ok((
             GcnPlan {
                 // The resolved configuration (identical to self.config
@@ -418,7 +413,6 @@ impl GcnRunner {
                 a_plan,
                 degraded,
                 auto: decision,
-                xw_arena,
             },
             outcome,
         ))
@@ -528,13 +522,6 @@ pub struct GcnPlan {
     /// The cost model's resolution when the plan was prepared under
     /// [`StrategyPolicy::Auto`] (see [`GcnPlan::auto_decision`]).
     auto: Option<AutoDecision>,
-    /// Scratch pool shared into every per-layer `X × W` engine (those are
-    /// transient, so without a plan-owned pool each layer of each request
-    /// would re-grow one). The consumed `XW` intermediate is recycled here
-    /// too. Excluded from [`memory_bytes`](GcnPlan::memory_bytes):
-    /// transient scratch bounded by the worker count, observable via
-    /// [`scratch_stats`](GcnPlan::scratch_stats).
-    xw_arena: Arc<ScratchArena>,
 }
 
 impl GcnPlan {
@@ -650,10 +637,10 @@ impl GcnPlan {
             + with_a_plan!(&self.a_plan, |plan| plan.memory_bytes())
     }
 
-    /// Allocation/reuse counters over every scratch pool the plan owns.
-    /// `xw_arena` is the `A`-side plan's own pool (unified at prepare), so
-    /// the `A`-plan view already covers it — plus, when sharded, each
-    /// shard member's pool. `created` stable across warm requests ⇔
+    /// Allocation/reuse counters over every scratch pool the plan owns:
+    /// the `A`-side plan's own pool — which also serves the per-layer
+    /// `X × W` engines (see [`run`](GcnPlan::run)) — plus, when sharded,
+    /// each shard member's pool. `created` stable across warm requests ⇔
     /// steady-state inference is allocation-free on the accumulate path.
     pub fn scratch_stats(&self) -> ArenaStats {
         with_a_plan!(&self.a_plan, |plan| plan.scratch_stats())
@@ -665,7 +652,9 @@ impl GcnPlan {
     /// output matrix the caller keeps is the only fresh allocation per
     /// request.
     pub fn recycle_output(&self, output: DenseMatrix) {
-        self.xw_arena.recycle_f32(output.into_vec());
+        with_a_plan!(&self.a_plan, |plan| plan
+            .arena()
+            .recycle_f32(output.into_vec()))
     }
 
     /// True when `input` carries the same graph (by structure fingerprint)
@@ -689,14 +678,20 @@ impl GcnPlan {
     /// Propagates shape errors when `x1` does not match the graph/weights.
     pub fn run(&self, x1: &Csr) -> Result<GcnRunOutcome, AccelError> {
         // The plan owns the adjacency its `A`-side plan was built from, so
-        // the session skips the per-layer O(nnz) fingerprint re-hash.
+        // the session skips the per-layer O(nnz) fingerprint re-hash. One
+        // pool serves the whole request: the frozen `A`-side plan's arena
+        // (warm since prepare) also feeds the transient per-layer `X × W`
+        // engines, which would otherwise each re-grow one — a second pool
+        // would double retention and strand recycled `XW` buffers. It is
+        // excluded from `memory_bytes`: transient scratch bounded by the
+        // worker count, observable via `scratch_stats`.
         with_a_plan!(&self.a_plan, |plan| run_layers(
             &self.config,
             &self.a_norm_csc,
             &self.weights,
             x1,
             &mut plan.session_trusted(),
-            Some(&self.xw_arena),
+            Some(plan.arena()),
         ))
     }
 

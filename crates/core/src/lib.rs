@@ -86,10 +86,10 @@ pub use config::{
 pub use cost::{AutoDecision, Calibration, CostProfile, ExecOrder, IoForecast, LayerForecast};
 pub use energy::{cycles_to_ms, EnergyModel};
 pub use engine::{
-    ArenaStats, DetailedEngine, FastEngine, Pass, PlanOutcome, Resident, RunOne, Scratch,
-    ScratchArena, Shard, ShardSource, ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession,
-    SpmmEngine, SpmmOutcome, SpmmSession, Stored, StreamStats, StreamedPlan, StreamingEngine,
-    TdqMode, TunedPlan,
+    ArenaStats, DetailedEngine, FastEngine, PlanOutcome, Resident, Scratch, ScratchArena, Shard,
+    ShardSource, ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession, SpmmEngine,
+    SpmmOutcome, SpmmSession, Stored, StreamStats, StreamedPlan, StreamingEngine, TdqMode,
+    TunedPlan,
 };
 pub use error::AccelError;
 pub use exec::{num_threads, par_map, par_map_isolated, par_map_threads};
