@@ -43,8 +43,8 @@ pub struct GcnRunOutcome {
     /// saw them (`x_density[0]` = X1).
     pub x_density: Vec<f64>,
     /// Streaming statistics (resident peak, I/O bytes, prefetch overlap)
-    /// when the run streamed `A` from an on-disk store; `None` for
-    /// resident runs.
+    /// of this run's last `A × (XW)` pass when it streamed `A` from an
+    /// on-disk store; `None` for resident runs.
     pub stream: Option<StreamStats>,
 }
 
