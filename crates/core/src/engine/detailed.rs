@@ -11,7 +11,7 @@
 use crate::config::{AccelConfig, StallMode};
 use crate::engine::arena::ScratchArena;
 use crate::engine::steady::ReplayCache;
-use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome, TunedPlan};
+use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome, TunedPlan};
 use crate::error::AccelError;
 use crate::mapping::RowMap;
 use crate::rebalance::autotuner::AutoTuner;
@@ -96,6 +96,40 @@ impl DetailedEngine {
     /// The current row→PE map (None before the first run).
     pub fn row_map(&self) -> Option<&RowMap> {
         self.map.as_ref()
+    }
+
+    /// Extracts a [`TunedPlan`] from the engine's current state: the row
+    /// map as converged so far, force-frozen like
+    /// [`FastEngine::freeze_plan`](crate::FastEngine::freeze_plan). The
+    /// plan's replay cache starts empty (the detailed engine does not
+    /// memoize) and is warmed by the sessions themselves; sessions always
+    /// execute with the fast queue-dynamics model — only the *map* carries
+    /// over the detailed engine's tuning.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::InvalidConfig`] when the engine was tuned for
+    /// a different row count than `a`.
+    pub fn freeze_plan(&mut self, a: &Csc) -> Result<TunedPlan, AccelError> {
+        self.ensure_state(a.rows())?;
+        let tuner = self.tuner.as_mut().expect("initialized in ensure_state");
+        tuner.freeze();
+        Ok(TunedPlan::from_frozen(
+            self.config.clone(),
+            self.map.clone().expect("initialized in ensure_state"),
+            a,
+            tuner.rounds_done(),
+            tuner.total_switches(),
+            self.config.replay,
+            ReplayCache::new(),
+            // A detailed-engine plan starts its own pool: the sessions it
+            // feeds run on the fast model and warm it themselves.
+            std::sync::Arc::new(if self.config.scratch_reuse {
+                ScratchArena::new()
+            } else {
+                ScratchArena::disabled()
+            }),
+        ))
     }
 
     fn ensure_state(&mut self, n_rows: usize) -> Result<(), AccelError> {
@@ -406,41 +440,6 @@ impl SpmmEngine for DetailedEngine {
         })
     }
 
-    /// Warm-up on the cycle-stepped model, extracting the frozen map into
-    /// a [`TunedPlan`]. The plan's replay cache starts empty (the detailed
-    /// engine does not memoize) and is warmed by the sessions themselves;
-    /// note that sessions always execute with the fast queue-dynamics
-    /// model — only the *map* carries over the detailed engine's tuning.
-    fn plan(
-        &mut self,
-        a: &Csc,
-        warmup: &DenseMatrix,
-        label: &str,
-    ) -> Result<PlanOutcome, AccelError> {
-        let outcome = self.run(a, warmup, label)?;
-        let tuner = self.tuner.as_mut().expect("initialized by run");
-        tuner.freeze();
-        Ok(PlanOutcome {
-            plan: TunedPlan::from_frozen(
-                self.config.clone(),
-                self.map.clone().expect("initialized by run"),
-                a,
-                tuner.rounds_done(),
-                tuner.total_switches(),
-                self.config.replay,
-                ReplayCache::new(),
-                // A detailed-engine plan starts its own pool: the sessions
-                // it feeds run on the fast model and warm it themselves.
-                std::sync::Arc::new(if self.config.scratch_reuse {
-                    ScratchArena::new()
-                } else {
-                    ScratchArena::disabled()
-                }),
-            ),
-            warmup: outcome,
-        })
-    }
-
     fn config(&self) -> &AccelConfig {
         &self.config
     }
@@ -593,14 +592,15 @@ mod tests {
             Design::LocalPlusRemote { hop: 2 }.apply(config(8)),
             TdqMode::Tdq2,
         );
-        let planned = engine.plan(&a, &b, "warmup").unwrap();
+        engine.run(&a, &b, "warmup").unwrap();
+        let plan = engine.freeze_plan(&a).unwrap();
         // The plan carries the detailed engine's frozen map and executes
         // requests with correct numerics on the fast session model.
         assert_eq!(
-            planned.plan.row_map().pe_of_row(),
+            plan.row_map().pe_of_row(),
             engine.row_map().unwrap().pe_of_row()
         );
-        let out = planned.plan.session().run(&a, &b, "req").unwrap();
+        let out = plan.session().run(&a, &b, "req").unwrap();
         let expect = spmm::csc_times_dense(&a, &b).unwrap();
         assert!(out.c.approx_eq(&expect, 1e-4));
         assert_eq!(out.stats.tuning_rounds(), 0);

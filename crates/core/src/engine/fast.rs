@@ -29,8 +29,8 @@
 //! live in the crate-internal `steady` module, shared verbatim with
 //! [`SpmmSession`](super::SpmmSession) — the per-request executor over a
 //! [`TunedPlan`](super::TunedPlan) extracted from this engine by
-//! [`SpmmEngine::plan`]. See `DESIGN.md` §5/§6 for the validity argument
-//! and the plan/execute split.
+//! [`FastEngine::freeze_plan`]. See `DESIGN.md` §5/§6 for the validity
+//! argument and the plan/execute split.
 //!
 //! Frozen-phase rounds are independent (each owns one output column of
 //! `C`), so they execute on the [`exec`](crate::exec) substrate —
@@ -46,7 +46,7 @@ use crate::engine::steady::{
     accumulate_round, column_pattern, emit_column, execute_steady, structure_fingerprint,
     MemoryParams, ReplayCache, SimParams, SteadySpan,
 };
-use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome, TunedPlan};
+use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome, TunedPlan};
 use crate::error::AccelError;
 use crate::exec;
 use crate::mapping::RowMap;
@@ -362,19 +362,6 @@ impl SpmmEngine for FastEngine {
                 rounds,
                 queue_high_water,
             },
-        })
-    }
-
-    fn plan(
-        &mut self,
-        a: &Csc,
-        warmup: &DenseMatrix,
-        label: &str,
-    ) -> Result<PlanOutcome, AccelError> {
-        let outcome = self.run(a, warmup, label)?;
-        Ok(PlanOutcome {
-            plan: self.freeze_plan(a)?,
-            warmup: outcome,
         })
     }
 

@@ -16,23 +16,26 @@
 //! the paper's auto-tuning paradigm is about.
 //!
 //! That reuse is made first-class by the plan/execute split: a warm-up
-//! phase ([`SpmmEngine::plan`]) produces a frozen, shareable [`TunedPlan`]
-//! (row map + replay cache + structure fingerprint + config), and cheap
-//! per-request [`SpmmSession`]s execute against `&TunedPlan` — so N
-//! requests on one graph pay tuning once and hit the replay cache from
-//! request 1. See `DESIGN.md` §6.
+//! (`run`) followed by `freeze_plan` produces a frozen, shareable
+//! [`TunedPlan`] (row map + replay cache + structure fingerprint +
+//! config), and cheap per-request [`SpmmSession`]s execute against
+//! `&TunedPlan` — so N requests on one graph pay tuning once and hit the
+//! replay cache from request 1. See `DESIGN.md` §6.
 //!
-//! The shard pipeline ([`ShardedEngine`] → [`ShardedPlan`] →
-//! [`ShardedSession`]) mirrors that shape across column-shard devices —
-//! one timing-only `FastEngine`/session per shard, merged numerics in the
-//! pinned global order — and is written once over a [`ShardSource`] with
-//! two implementations. [`Resident`] holds every shard slice in memory and
-//! serves both GCN phases: `A × (XW)` under `AccelConfig.shards`, each
-//! layer's `X × W` under `AccelConfig.combination_shards`. [`Stored`]
-//! reads the slices from a chunked on-disk store two at a time (compute on
-//! one, prefetch the next), so peak resident sparse bytes stay under a
-//! host-memory budget while outputs remain bit-identical. See `DESIGN.md`
-//! §7/§8/§13.
+//! The GCN runner drives every SPMM through one shard pipeline
+//! ([`ShardedEngine`] → [`ShardedPlan`] → [`ShardedSession`]): one
+//! `FastEngine`/session per column shard, written once over a
+//! [`ShardSource`] with two implementations. [`Resident`] holds every
+//! shard slice in memory and serves both GCN phases: `A × (XW)` under
+//! `AccelConfig.shards`, each layer's `X × W` under
+//! `AccelConfig.combination_shards`. A policy that resolves to one shard
+//! is the whole-operand cut — the paper's single device: one member with
+//! values on, no slice copy, no merge. A multi-shard cut runs its members
+//! timing-only and merges the numerics in the pinned global order.
+//! [`Stored`] reads the slices from a chunked on-disk store two at a time
+//! (compute on one, prefetch the next), so peak resident sparse bytes stay
+//! under a host-memory budget while outputs remain bit-identical. See
+//! `DESIGN.md` §7/§8/§13.
 
 pub(crate) mod arena;
 mod detailed;
@@ -66,16 +69,6 @@ pub struct SpmmOutcome {
     pub stats: SpmmStats,
 }
 
-/// Result of a warm-up/plan phase: the reusable [`TunedPlan`] plus the
-/// warm-up SPMM's own outcome (so the tuning pass is never wasted work).
-#[derive(Debug, Clone)]
-pub struct PlanOutcome {
-    /// The frozen, shareable per-operand plan.
-    pub plan: TunedPlan,
-    /// The warm-up SPMM's result (tuning-phase rounds included).
-    pub warmup: SpmmOutcome,
-}
-
 /// A simulated SPMM engine (one per sparse operand).
 pub trait SpmmEngine {
     /// Simulates `C = A × B`, streaming `B` column by column.
@@ -86,23 +79,6 @@ pub trait SpmmEngine {
     /// [`AccelError::InvalidConfig`] when the engine is reused with a
     /// sparse operand of a different row count than it was tuned for.
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError>;
-
-    /// Runs `warmup` as an auto-tuning warm-up on `a` and extracts a
-    /// frozen [`TunedPlan`] for `a`: the converged row map (force-frozen
-    /// if the warm-up had too few columns for natural convergence), the
-    /// replay cache as warmed, the structure fingerprint, and the
-    /// configuration. Subsequent requests execute via
-    /// [`TunedPlan::session`] without re-paying tuning.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](SpmmEngine::run).
-    fn plan(
-        &mut self,
-        a: &Csc,
-        warmup: &DenseMatrix,
-        label: &str,
-    ) -> Result<PlanOutcome, AccelError>;
 
     /// The engine's configuration.
     fn config(&self) -> &AccelConfig;

@@ -7,9 +7,11 @@
 //! row→PE map, the steady-state replay cache, the operand's sparsity
 //! fingerprint, and the configuration — everything that is a function of
 //! *the graph*, none of what is a function of *one request*. Plans are
-//! produced once per sparse operand by [`SpmmEngine::plan`] (a warm-up
-//! phase on either engine) and then executed against any number of times
-//! through cheap per-request [`SpmmSession`]s.
+//! produced once per sparse operand by `freeze_plan` after a warm-up on
+//! either engine ([`FastEngine::freeze_plan`](crate::FastEngine::freeze_plan),
+//! [`DetailedEngine::freeze_plan`](crate::DetailedEngine::freeze_plan))
+//! and then executed against any number of times through cheap
+//! per-request [`SpmmSession`]s.
 //!
 //! # Concurrency contract
 //!
@@ -27,7 +29,7 @@
 use crate::config::AccelConfig;
 use crate::engine::arena::{ArenaStats, ScratchArena};
 use crate::engine::steady::{execute_steady, MemoryParams, ReplayCache, SimParams, SteadySpan};
-use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome};
+use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome};
 use crate::error::AccelError;
 use crate::exec;
 use crate::mapping::RowMap;
@@ -56,10 +58,12 @@ pub(crate) use crate::engine::steady::structure_fingerprint;
 /// let config = Design::LocalPlusRemote { hop: 1 }.apply(AccelConfig::builder().n_pes(2).build()?);
 ///
 /// // Pay tuning once…
-/// let planned = FastEngine::new(config).plan(&a, &warmup, "warmup")?;
+/// let mut engine = FastEngine::new(config);
+/// engine.run(&a, &warmup, "warmup")?;
+/// let plan = engine.freeze_plan(&a)?;
 /// // …then serve N requests against the shared plan.
 /// let b = DenseMatrix::from_rows(&[&[2.0], &[5.0], &[0.5], &[1.0]])?;
-/// let out = planned.plan.session().run(&a, &b, "request")?;
+/// let out = plan.session().run(&a, &b, "request")?;
 /// assert_eq!(out.c.get(0, 0), 10.0);
 /// assert_eq!(out.stats.tuning_rounds(), 0); // sessions never re-tune
 /// # Ok(())
@@ -90,7 +94,7 @@ pub struct TunedPlan {
 
 impl TunedPlan {
     /// Assembles a plan from an engine's frozen state (crate-internal; use
-    /// [`SpmmEngine::plan`]).
+    /// an engine's `freeze_plan`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_frozen(
         config: AccelConfig,
@@ -134,12 +138,6 @@ impl TunedPlan {
     /// FNV-1a fingerprint of the operand structure the plan is valid for.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Devices the plan spans: always one (the sharded plans report
-    /// theirs).
-    pub(crate) fn shard_count(&self) -> usize {
-        1
     }
 
     /// Non-zeros of the planned operand.
@@ -191,12 +189,6 @@ impl TunedPlan {
     /// every session on this plan).
     pub fn scratch_stats(&self) -> ArenaStats {
         self.arena.stats()
-    }
-
-    /// The plan's scratch arena (crate-internal: the GCN layers recycle
-    /// consumed intermediates into it).
-    pub(crate) fn arena(&self) -> &Arc<ScratchArena> {
-        &self.arena
     }
 
     /// Returns a finished output matrix's buffer to the plan's arena. A
@@ -346,22 +338,6 @@ impl SpmmEngine for SpmmSession<'_> {
         })
     }
 
-    fn plan(
-        &mut self,
-        a: &Csc,
-        warmup: &DenseMatrix,
-        label: &str,
-    ) -> Result<PlanOutcome, AccelError> {
-        // A session is already backed by a plan; "planning" on it runs the
-        // warm-up through the session and hands back a snapshot of the
-        // underlying plan (cache included).
-        let outcome = self.run(a, warmup, label)?;
-        Ok(PlanOutcome {
-            plan: self.plan.clone(),
-            warmup: outcome,
-        })
-    }
-
     fn config(&self) -> &AccelConfig {
         &self.plan.config
     }
@@ -404,8 +380,10 @@ mod tests {
         let warmup = dense_full(n, 8);
         let config = Design::LocalPlusRemote { hop: 1 }
             .apply(AccelConfig::builder().n_pes(n_pes).build().unwrap());
-        let out = FastEngine::new(config).plan(&a, &warmup, "warmup").unwrap();
-        (a, out.plan)
+        let mut engine = FastEngine::new(config);
+        engine.run(&a, &warmup, "warmup").unwrap();
+        let plan = engine.freeze_plan(&a).unwrap();
+        (a, plan)
     }
 
     #[test]
@@ -428,9 +406,10 @@ mod tests {
         let config = Design::LocalPlusRemote { hop: 2 }
             .apply(AccelConfig::builder().n_pes(8).build().unwrap());
         let mut engine = FastEngine::new(config);
-        let planned = engine.plan(&a, &b, "warmup").unwrap();
+        engine.run(&a, &b, "warmup").unwrap();
+        let plan = engine.freeze_plan(&a).unwrap();
         let from_engine = engine.run(&a, &b, "req").unwrap();
-        let from_session = planned.plan.session().run(&a, &b, "req").unwrap();
+        let from_session = plan.session().run(&a, &b, "req").unwrap();
         assert_eq!(from_engine.stats, from_session.stats);
         assert_eq!(from_engine.c, from_session.c);
     }

@@ -16,6 +16,10 @@
 //!   operand by a
 //!   [`ColumnPartitioner`](awb_sparse::partition::ColumnPartitioner);
 //!   shards execute concurrently on the [`exec`](crate::exec) substrate.
+//!   A policy that resolves to one shard yields the *whole-operand cut*:
+//!   one shard over every column that keeps no slice, runs its member with
+//!   values on, and returns the member's outcome as the pass outcome — the
+//!   paper's single device, with no copy and no merge.
 //! * [`Stored`] — slices read from a chunked on-disk [`SparseStore`],
 //!   cut chunk-aligned from its manifest alone (no values loaded) and
 //!   executed **sequentially** with a bounded working set: while shard `i`
@@ -45,10 +49,10 @@
 //!   skip-if-all-zero rule, the same `csc_axpy_block` calls, the same
 //!   final `drain_block_into`.
 //!
-//! Shard-member engines and sessions therefore run **values-free**
-//! (timing-only — see [`FastEngine::set_values_enabled`]): the partial
-//! numerics the merge would discard are never computed, so a sharded run
-//! pays the accumulate work exactly once. Timing is a pure function of
+//! Shard-member engines and sessions of a multi-shard cut therefore run
+//! **values-free** (timing-only — see [`FastEngine::set_values_enabled`]):
+//! the partial numerics the merge would discard are never computed, so a
+//! sharded run pays the accumulate work exactly once. Timing is a pure function of
 //! each round's non-zero pattern, so shard statistics are bit-identical to
 //! what a values-carrying shard run would report (pinned by the tests
 //! below).
@@ -77,7 +81,7 @@
 use crate::config::AccelConfig;
 use crate::engine::arena::{ArenaStats, ScratchArena};
 use crate::engine::steady::{block_spans, compute_columns, structure_fingerprint};
-use crate::engine::{check_shapes, FastEngine, PlanOutcome, SpmmEngine, SpmmOutcome, TunedPlan};
+use crate::engine::{check_shapes, FastEngine, SpmmEngine, SpmmOutcome, TunedPlan};
 use crate::error::AccelError;
 use crate::exec;
 use crate::stats::{RoundStats, SpmmStats};
@@ -255,10 +259,12 @@ pub struct Pass<'a> {
     threads: Option<usize>,
 }
 
-/// Simulates one shard's timing on its device, given the shard's column
-/// slice and the matching rows of `B`.
+/// Simulates one shard on its device, given the shard's column slice, the
+/// matching rows of `B`, and whether the shard is the whole-operand cut
+/// (the only cut whose member computes values; every other member runs
+/// timing-only and its `C` is discarded).
 pub type RunOne<'a, D> =
-    dyn Fn(&D, &Csc, &DenseMatrix) -> Result<SpmmStats, AccelError> + Sync + 'a;
+    dyn Fn(&D, &Csc, &DenseMatrix, bool) -> Result<SpmmOutcome, AccelError> + Sync + 'a;
 
 /// Where a shard pipeline's column slices come from. The engine, plan and
 /// session are written once over this trait; a source supplies only what
@@ -281,9 +287,20 @@ pub trait ShardSource: Debug + Clone + Send + Sync + Sized {
     /// Heap bytes one shard's kept slice holds resident.
     fn slice_bytes(slice: &Self::Slice) -> u64;
 
-    /// Materializes one shard's column slice ([`AccelError::InvalidInput`]
-    /// when a store read fails).
-    fn load<'s, D>(&self, shard: &'s Shard<Self, D>) -> Result<Cow<'s, Csc>, AccelError>;
+    /// True for the whole-operand cut: one shard over every column of `a`
+    /// that keeps no slice. Its member runs with values on, on the
+    /// pipeline's own arena, and its outcome is the pass outcome.
+    fn is_whole<D>(_shard: &Shard<Self, D>) -> bool {
+        false
+    }
+
+    /// Materializes one shard's column slice of the operand `a`
+    /// ([`AccelError::InvalidInput`] when a store read fails).
+    fn load<'s, D>(
+        &self,
+        a: &'s Csc,
+        shard: &'s Shard<Self, D>,
+    ) -> Result<Cow<'s, Csc>, AccelError>;
 
     /// The pool the member engines' (values-free) outputs return to, when
     /// the source shares one across its shards.
@@ -304,7 +321,9 @@ pub trait ShardSource: Debug + Clone + Send + Sync + Sized {
 
 /// Every shard's column slice held in memory, `Arc`-shared between the
 /// engine and the plans it freezes. Shards are cut from the first operand
-/// and bound to its exact sparsity structure; they run concurrently.
+/// and bound to its exact sparsity structure; they run concurrently. When
+/// the partitioner resolves to one shard (`is_single`, `O(1)`) the cut is
+/// the whole operand and keeps no slice at all.
 #[derive(Debug, Clone)]
 pub struct Resident {
     partitioner: ColumnPartitioner,
@@ -317,34 +336,35 @@ fn operand_of(a: &Csc) -> (usize, usize, usize, u64) {
 }
 
 impl ShardSource for Resident {
-    type Slice = Arc<Csc>;
+    /// `None` for the whole-operand cut, which reads the pass's own `A`.
+    type Slice = Option<Arc<Csc>>;
 
     fn bind(&mut self, a: &Csc) -> Result<Option<Vec<Shard<Self, ()>>>, AccelError> {
         if self.operand.is_some() {
             return self.check(a, false).map(|()| None);
         }
-        let cut = |cols: Range<usize>, nnz: usize, slice: Csc| Shard {
-            cols,
-            nnz,
-            slice: Arc::new(slice),
-            device: (),
-        };
-        let mut cuts: Vec<_> = self
+        self.operand = Some(operand_of(a));
+        // `is_single` also covers a 0-column operand, for which the
+        // partitioner returns no shards.
+        if self.partitioner.is_single(a) {
+            return Ok(Some(vec![Shard {
+                cols: 0..a.cols(),
+                nnz: a.nnz(),
+                slice: None,
+                device: (),
+            }]));
+        }
+        let cuts = self
             .partitioner
             .partition(a)
             .into_iter()
-            .map(|shard| {
-                let slice = shard.slice(a);
-                cut(shard.cols, shard.nnz, slice)
+            .map(|shard| Shard {
+                slice: Some(Arc::new(shard.slice(a))),
+                cols: shard.cols,
+                nnz: shard.nnz,
+                device: (),
             })
             .collect();
-        if cuts.is_empty() {
-            // 0-column operand (the partitioner returns no shards): keep
-            // one degenerate shard so round accounting still mirrors the
-            // unsharded engine.
-            cuts.push(cut(0..a.cols(), a.nnz(), a.clone()));
-        }
-        self.operand = Some(operand_of(a));
         Ok(Some(cuts))
     }
 
@@ -368,12 +388,20 @@ impl ShardSource for Resident {
         Ok(())
     }
 
-    fn slice_bytes(slice: &Arc<Csc>) -> u64 {
-        slice.heap_bytes() as u64
+    fn slice_bytes(slice: &Option<Arc<Csc>>) -> u64 {
+        slice.as_ref().map_or(0, |s| s.heap_bytes() as u64)
     }
 
-    fn load<'s, D>(&self, shard: &'s Shard<Self, D>) -> Result<Cow<'s, Csc>, AccelError> {
-        Ok(Cow::Borrowed(&shard.slice))
+    fn is_whole<D>(shard: &Shard<Self, D>) -> bool {
+        shard.slice.is_none()
+    }
+
+    fn load<'s, D>(
+        &self,
+        a: &'s Csc,
+        shard: &'s Shard<Self, D>,
+    ) -> Result<Cow<'s, Csc>, AccelError> {
+        Ok(Cow::Borrowed(shard.slice.as_deref().unwrap_or(a)))
     }
 
     fn execute<D: Sync>(
@@ -383,13 +411,22 @@ impl ShardSource for Resident {
         run_one: &RunOne<'_, D>,
     ) -> Result<ShardedOutcome, AccelError> {
         let Pass { a, b, arena, .. } = pass;
+        if let [shard] = shards {
+            if Self::is_whole(shard) {
+                // One device over all of `A`: its outcome is the pass's.
+                let outcome = run_one(&shard.device, a, b, true)?;
+                return Ok(ShardedOutcome {
+                    per_shard: vec![outcome.stats.clone()],
+                    outcome,
+                    stream: None,
+                });
+            }
+        }
         let threads = pass.threads.unwrap_or_else(exec::num_threads);
         let per_shard = exec::par_map_threads(threads, shards, |shard| {
-            run_one(
-                &shard.device,
-                &shard.slice,
-                &b.row_range(shard.cols.clone()),
-            )
+            let slice = self.load(a, shard)?;
+            let b_slice = b.row_range(shard.cols.clone());
+            run_one(&shard.device, &slice, &b_slice, false).map(|out| out.stats)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
@@ -508,7 +545,11 @@ impl ShardSource for Stored {
         0
     }
 
-    fn load<'s, D>(&self, shard: &'s Shard<Self, D>) -> Result<Cow<'s, Csc>, AccelError> {
+    fn load<'s, D>(
+        &self,
+        _a: &'s Csc,
+        shard: &'s Shard<Self, D>,
+    ) -> Result<Cow<'s, Csc>, AccelError> {
         let slice = self.store.read_col_range(shard.cols.clone());
         slice.map(Cow::Owned).map_err(store_err)
     }
@@ -587,7 +628,7 @@ impl ShardSource for Stored {
                 Lane::Compute => {
                     let t0 = Instant::now();
                     let b_slice = b.row_range(range.clone());
-                    let timed = run_one(&shard.device, cur_ref, &b_slice).map(|shard_stats| {
+                    let timed = run_one(&shard.device, cur_ref, &b_slice, false).map(|out| {
                         // Numerics: ascending global column order within
                         // each block (shards ascending, `j` ascending
                         // inside the shard), the pinned reduction stream.
@@ -602,7 +643,7 @@ impl ShardSource for Stored {
                                 csc_axpy_block(cur_ref, j, scales, acc);
                             }
                         }
-                        shard_stats
+                        out.stats
                     });
                     LaneOut::Computed(timed, t0.elapsed().as_secs_f64())
                 }
@@ -798,16 +839,24 @@ impl<S: ShardSource> ShardedEngine<S> {
         engine
     }
 
-    /// Gives every cut its own member engine. Members run timing-only:
-    /// the merge recomputes the numerics in the pinned global order, so
-    /// per-shard partials would be discarded work (module docs).
+    /// Gives every cut its own member engine. Members of a multi-shard
+    /// cut run timing-only: the merge recomputes the numerics in the
+    /// pinned global order, so per-shard partials would be discarded work
+    /// (module docs). The whole-operand cut's member computes the output
+    /// itself, on the engine's own arena.
     fn install(&mut self, cuts: &[Shard<S, ()>]) {
         self.shards = cuts
             .iter()
             .map(|cut| {
+                let whole = S::is_whole(cut);
                 let mut engine = FastEngine::new(self.config.clone());
-                engine.set_values_enabled(false);
-                if let Some(arena) = self.source.member_arena() {
+                engine.set_values_enabled(whole);
+                let arena = if whole {
+                    Some(&self.arena)
+                } else {
+                    self.source.member_arena()
+                };
+                if let Some(arena) = arena {
                     engine.set_arena(Arc::clone(arena));
                 }
                 cut.on(Mutex::new(engine))
@@ -826,18 +875,22 @@ impl<S: ShardSource> ShardedEngine<S> {
         self.shards.iter().map(|s| count(&lock(&s.device))).sum()
     }
 
-    /// Replaces the merge-phase scratch arena — lets an owner (e.g.
-    /// `GcnRunner`) share one pool across phases instead of holding one
-    /// per engine.
+    /// Replaces the engine's scratch arena (the merge's, and the
+    /// whole-operand member's) — lets an owner (e.g. `GcnRunner`) share
+    /// one pool across phases instead of holding one per engine.
     pub fn set_arena(&mut self, arena: Arc<ScratchArena>) {
+        for shard in self.shards.iter().filter(|s| S::is_whole(s)) {
+            lock(&shard.device).set_arena(Arc::clone(&arena));
+        }
         self.arena = arena;
     }
 
-    /// Allocation/reuse counters of the merge arena plus every shard
-    /// member's own arena.
+    /// Allocation/reuse counters of the engine arena plus every shard
+    /// member's own arena (a whole-operand member shares the engine's, so
+    /// it counts once).
     pub fn scratch_stats(&self) -> ArenaStats {
         let mut total = self.arena.stats();
-        for shard in &self.shards {
+        for shard in self.shards.iter().filter(|s| !S::is_whole(s)) {
             total.absorb(lock(&shard.device).scratch_stats());
         }
         total
@@ -888,26 +941,27 @@ impl<S: ShardSource> ShardedEngine<S> {
             arena: &self.arena,
             threads: self.config.threads,
         };
+        // Members were installed with their values mode, so `whole` is moot.
         let outcome = self
             .source
-            .execute(&self.shards, pass, &|engine, slice, b_slice| {
-                let mut out = lock(engine).run(slice, b_slice, label)?;
+            .execute(&self.shards, pass, &|engine, slice, b, _| {
+                let mut out = lock(engine).run(slice, b, label)?;
                 if let Some(pool) = member_arena {
-                    // The member's output is all-zeros (values-free); hand
-                    // its buffer straight back to the shared pool.
+                    // The member's output is all-zeros (values-free); hand its
+                    // buffer straight back to the shared pool.
                     let c = std::mem::replace(&mut out.c, DenseMatrix::zeros(0, 0));
                     pool.recycle_f32(c.into_vec());
                 }
-                Ok(out.stats)
+                Ok(out)
             })?;
         self.stream = outcome.stream;
         Ok(outcome)
     }
 
     /// Freezes every shard engine's tuning state into a shareable
-    /// [`ShardedPlan`] (the sharded analogue of
-    /// [`FastEngine::freeze_plan`]). Stored slices are re-read one at a
-    /// time, so freezing obeys the same memory bound as running.
+    /// [`ShardedPlan`] (one [`FastEngine::freeze_plan`] per member).
+    /// Stored slices are re-read one at a time, so freezing obeys the same
+    /// memory bound as running.
     ///
     /// # Errors
     ///
@@ -920,7 +974,7 @@ impl<S: ShardSource> ShardedEngine<S> {
             .shards
             .iter()
             .map(|shard| {
-                let slice = self.source.load(shard)?;
+                let slice = self.source.load(a, shard)?;
                 let plan = lock(&shard.device).freeze_plan(&slice)?;
                 Ok(shard.on(plan))
             })
@@ -939,22 +993,6 @@ impl<S: ShardSource> SpmmEngine for ShardedEngine<S> {
         self.run_detailed(a, b, label).map(|s| s.outcome)
     }
 
-    fn plan(
-        &mut self,
-        _a: &Csc,
-        _warmup: &DenseMatrix,
-        _label: &str,
-    ) -> Result<PlanOutcome, AccelError> {
-        // A sharded warm-up freezes one TunedPlan per shard, which the
-        // single-plan PlanOutcome cannot carry: warm up via `run`, freeze
-        // via `ShardedEngine::freeze_plan`.
-        Err(AccelError::InvalidConfig(
-            "sharded engines freeze via ShardedEngine::freeze_plan (a ShardedPlan is not a \
-             single TunedPlan)"
-                .into(),
-        ))
-    }
-
     fn config(&self) -> &AccelConfig {
         &self.config
     }
@@ -965,8 +1003,9 @@ impl<S: ShardSource> SpmmEngine for ShardedEngine<S> {
 }
 
 /// Frozen sharded tuning state: one [`TunedPlan`] per column shard plus
-/// the source bound to the planned operand. The sharded analogue of
-/// [`TunedPlan`]; produced by [`ShardedEngine::freeze_plan`], executed via
+/// the source bound to the planned operand (a whole-operand plan holds
+/// exactly one, for the single device); produced by
+/// [`ShardedEngine::freeze_plan`], executed via
 /// [`session`](ShardedPlan::session). `Sync` for the same reason plans
 /// are: shard maps are immutable, shard replay caches are monotone.
 #[derive(Debug, Clone)]
@@ -974,11 +1013,11 @@ pub struct ShardedPlan<S: ShardSource = Resident> {
     config: AccelConfig,
     source: S,
     shards: Vec<Shard<S>>,
-    /// Scratch pool for the merged output and the merge's accumulators,
-    /// shared (`Arc`) with the engine that froze the plan and across plan
-    /// clones. Deliberately excluded from
-    /// [`memory_bytes`](Self::memory_bytes): retention is transient
-    /// scratch bounded by the worker count, observable via
+    /// Scratch pool for the merged output and the merge's accumulators
+    /// (and the whole-operand member's pool), shared (`Arc`) with the
+    /// engine that froze the plan and across plan clones. Deliberately
+    /// excluded from [`memory_bytes`](Self::memory_bytes): retention is
+    /// transient scratch bounded by the worker count, observable via
     /// [`scratch_stats`](Self::scratch_stats).
     arena: Arc<ScratchArena>,
 }
@@ -1001,6 +1040,15 @@ impl<S: ShardSource> ShardedPlan<S> {
     /// The frozen shards, in ascending column order.
     pub fn shards(&self) -> &[Shard<S>] {
         &self.shards
+    }
+
+    /// The sole member plan of a whole-operand plan (the single device);
+    /// `None` for a multi-shard cut.
+    pub(crate) fn whole_plan(&self) -> Option<&TunedPlan> {
+        match self.shards.as_slice() {
+            [shard] if S::is_whole(shard) => Some(&shard.device),
+            _ => None,
+        }
     }
 
     /// True when `a` is the operand this plan was cut for.
@@ -1029,12 +1077,13 @@ impl<S: ShardSource> ShardedPlan<S> {
         self.sum_plans(TunedPlan::replay_misses)
     }
 
-    /// Allocation/reuse counters of the merge arena plus every shard's
-    /// per-plan arena. `created` stable across warm requests ⇔ sharded
-    /// serving is allocation-free in steady state.
+    /// Allocation/reuse counters of the plan arena plus every shard's
+    /// per-plan arena (a whole-operand member shares the plan's, so it
+    /// counts once). `created` stable across warm requests ⇔ serving is
+    /// allocation-free in steady state.
     pub fn scratch_stats(&self) -> ArenaStats {
         let mut total = self.arena.stats();
-        for shard in &self.shards {
+        for shard in self.shards.iter().filter(|s| !S::is_whole(s)) {
             total.absorb(shard.device.scratch_stats());
         }
         total
@@ -1048,9 +1097,9 @@ impl<S: ShardSource> ShardedPlan<S> {
 
     /// Estimated heap bytes resident across all shards: each frozen
     /// per-shard [`TunedPlan`] (row map + replay cache) plus, for resident
-    /// shards, the column-slice copy of the operand. A stored operand is
-    /// *not* resident, which is the point. The sharded analogue of
-    /// [`TunedPlan::memory_bytes`].
+    /// multi-shard cuts, the column-slice copy of the operand. The
+    /// whole-operand cut keeps no slice, and a stored operand is *not*
+    /// resident, which is the point.
     pub fn memory_bytes(&self) -> u64 {
         self.shards
             .iter()
@@ -1145,19 +1194,22 @@ impl<'p, S: ShardSource> ShardedSession<'p, S> {
         plan.source.execute(
             &plan.shards,
             pass,
-            &|shard_plan: &TunedPlan, slice, b_slice| {
+            &|shard_plan: &TunedPlan, slice, b_slice, whole| {
                 // Trusted: the slice is the one the shard plan was frozen
-                // from. Timing-only: the merged numerics come from the
-                // source's pinned-order merge.
+                // from. Timing-only unless whole: a multi-shard cut's
+                // numerics come from the source's pinned-order merge.
                 let mut session = shard_plan.session_trusted();
-                session.set_values_enabled(false);
+                session.set_values_enabled(whole);
                 session.set_threads(threads);
                 let mut out = session.run(slice, b_slice, label)?;
-                // The member output is discarded by the merge — hand its
-                // buffer back to the shard plan's arena so warm sharded
-                // serving stays allocation-free.
-                shard_plan.recycle_output(std::mem::replace(&mut out.c, DenseMatrix::zeros(0, 0)));
-                Ok(out.stats)
+                if !whole {
+                    // The member output is discarded by the merge — hand
+                    // its buffer back to the shard plan's arena so warm
+                    // sharded serving stays allocation-free.
+                    let c = std::mem::replace(&mut out.c, DenseMatrix::zeros(0, 0));
+                    shard_plan.recycle_output(c);
+                }
+                Ok(out)
             },
         )
     }
@@ -1168,18 +1220,6 @@ impl<S: ShardSource> SpmmEngine for ShardedSession<'_, S> {
         let detailed = self.run_detailed(a, b, label)?;
         self.stream = detailed.stream;
         Ok(detailed.outcome)
-    }
-
-    fn plan(
-        &mut self,
-        _a: &Csc,
-        _warmup: &DenseMatrix,
-        _label: &str,
-    ) -> Result<PlanOutcome, AccelError> {
-        Err(AccelError::InvalidConfig(
-            "sharded sessions execute an existing ShardedPlan; they do not produce TunedPlans"
-                .into(),
-        ))
     }
 
     fn config(&self) -> &AccelConfig {
@@ -1446,17 +1486,6 @@ mod tests {
         assert_eq!(out.outcome.c, reference.c);
     }
 
-    #[test]
-    fn spmm_engine_plan_is_rejected() {
-        let a = skewed(32, 10);
-        let b = dense(32, 2);
-        let mut engine = ShardedEngine::new(config(4, 2));
-        assert!(matches!(
-            SpmmEngine::plan(&mut engine, &a, &b, "t"),
-            Err(AccelError::InvalidConfig(_))
-        ));
-    }
-
     mod stored {
         use super::*;
         use std::path::PathBuf;
@@ -1606,18 +1635,12 @@ mod tests {
         }
 
         #[test]
-        fn zero_budget_and_plan_requests_are_typed_errors() {
+        fn zero_budget_is_a_typed_error() {
             let a = skewed(32);
             let dir = temp_dir("zero");
             let store = Arc::new(SparseStore::write_with_chunk_nnz(&dir, &a, 8).unwrap());
             assert!(matches!(
-                StreamingEngine::from_store(config(4, 1), Arc::clone(&store), 0),
-                Err(AccelError::InvalidConfig(_))
-            ));
-            let mut engine = StreamingEngine::from_store(config(4, 1), store, 1 << 20).unwrap();
-            let b = dense(32, 2);
-            assert!(matches!(
-                engine.plan(&a, &b, "t"),
+                StreamingEngine::from_store(config(4, 1), store, 0),
                 Err(AccelError::InvalidConfig(_))
             ));
             std::fs::remove_dir_all(&dir).unwrap();

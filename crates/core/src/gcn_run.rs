@@ -5,14 +5,16 @@
 //! Both phases run the paper's per-layer schedule: `X × W` first
 //! (TDQ-1-class workload), then `A × (XW)` (TDQ-2-class), with
 //! column-level pipelining between them (Fig. 8) and ReLU between layers.
-//! A single engine serves every SPMM that uses `A`, so the auto-tuned row
-//! map converged during layer 1 is *reused* in layer 2 — and, via
+//! Every SPMM runs on the shard pipeline ([`ShardedEngine`]); a policy that
+//! resolves to one shard is the whole-operand cut, the paper's single
+//! device. One engine serves every SPMM that uses `A`, so the auto-tuned
+//! row map(s) converged during layer 1 are *reused* in layer 2 — and, via
 //! [`GcnPlan`], across every later request on the same graph: exactly the
 //! paper's "ideal configuration is reused for the remaining iterations",
 //! promoted from a per-call optimization to a shareable artifact.
 //!
 //! * [`GcnRunner::prepare`] runs one warm-up inference and extracts a
-//!   [`GcnPlan`] (graph, weights, and the frozen [`TunedPlan`] for `A`).
+//!   [`GcnPlan`] (graph, weights, and the frozen [`ShardedPlan`] for `A`).
 //! * [`GcnPlan::run`] executes one feature-matrix request against the
 //!   shared plan — no tuning, replay cache warm from request 1.
 //! * [`GcnRunner::run`] is the thin compatibility wrapper: one cold
@@ -21,8 +23,8 @@
 use crate::config::{AccelConfig, ShardPolicy, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET};
 use crate::cost::{self, AutoDecision, CostProfile};
 use crate::engine::{
-    store_err, ArenaStats, FastEngine, ScratchArena, ShardedEngine, ShardedPlan, SpmmEngine,
-    StreamStats, StreamedPlan, StreamingEngine, TunedPlan,
+    store_err, ArenaStats, ScratchArena, ShardedEngine, ShardedPlan, SpmmEngine, StreamStats,
+    StreamedPlan, StreamingEngine, TunedPlan,
 };
 use crate::error::AccelError;
 use crate::pipeline::pipeline_two_stage;
@@ -61,12 +63,6 @@ trait AEngine: SpmmEngine {
     fn freeze_a(&mut self, a: &Csc) -> Result<APlan, AccelError>;
 }
 
-impl AEngine for FastEngine {
-    fn freeze_a(&mut self, a: &Csc) -> Result<APlan, AccelError> {
-        self.freeze_plan(a).map(APlan::Single)
-    }
-}
-
 impl AEngine for ShardedEngine {
     fn freeze_a(&mut self, a: &Csc) -> Result<APlan, AccelError> {
         self.freeze_plan(a).map(APlan::Sharded)
@@ -80,11 +76,10 @@ impl AEngine for StreamingEngine {
 }
 
 /// The frozen `A`-side tuning state a [`GcnPlan`] executes against: one
-/// [`TunedPlan`] on a single device, or one per column shard of either
-/// source.
+/// [`TunedPlan`] per column shard, resident (the whole-operand cut on a
+/// single device) or stored.
 #[derive(Debug, Clone)]
 enum APlan {
-    Single(TunedPlan),
     Sharded(ShardedPlan),
     Streamed(StreamedPlan),
 }
@@ -95,7 +90,6 @@ enum APlan {
 macro_rules! with_a_plan {
     ($a_plan:expr, |$plan:ident| $body:expr) => {
         match $a_plan {
-            APlan::Single($plan) => $body,
             APlan::Sharded($plan) => $body,
             APlan::Streamed($plan) => $body,
         }
@@ -105,11 +99,11 @@ macro_rules! with_a_plan {
 /// The per-layer inference schedule, generic over how `A × (XW)` executes:
 /// a tuning-live engine during warm-up, a session on the frozen plan
 /// during per-request execution.
-/// `X × W` uses a fresh engine per layer (X differs per layer and
-/// request) — a single device, or one auto-tuned device per nnz-balanced
-/// column shard of `X` under [`AccelConfig::combination_shards`], merged
-/// through the pinned global-order kernel so layer outputs stay
-/// bit-identical either way.
+/// `X × W` uses a fresh shard engine per layer (X differs per layer and
+/// request) cut by [`AccelConfig::combination_shards`]: the whole-operand
+/// cut on one device, or one auto-tuned device per nnz-balanced column
+/// shard of `X`, merged through the pinned global-order kernel so layer
+/// outputs stay bit-identical either way.
 fn run_layers<E: SpmmEngine + ?Sized>(
     config: &AccelConfig,
     a_csc: &Csc,
@@ -130,32 +124,18 @@ fn run_layers<E: SpmmEngine + ?Sized>(
         x_density.push(x_csc.density());
         // Stage 1: X × W (fresh engine per layer; X differs per layer and
         // request, so there is no tuned state to carry over — the shard
-        // cut, when sharded, is re-derived from this layer's X). A policy
-        // that resolves to a single shard for this X (Fixed(1), or a
-        // memory budget the whole matrix fits) dispatches to the plain
-        // engine: a 1-shard ShardedEngine would copy X every layer of
-        // every request for bit-identical output and stats. `is_single`
-        // is O(1), so the dispatch never pays a partition scan the
-        // sharded engine would then repeat.
-        let combination_sharded = config.combination_shards != ShardPolicy::Single
-            && !config.combination_partitioner().is_single(&x_csc);
+        // cut is re-derived from this layer's X). A policy that resolves
+        // to one shard for this X (Single, Fixed(1), or a memory budget
+        // the whole matrix fits) is the whole-operand cut: one device, no
+        // copy of X, no merge.
+        let mut engine_x =
+            ShardedEngine::with_partitioner(config.clone(), config.combination_partitioner());
         // The per-layer X engines are transient, so a caller holding a
         // long-lived pool (GcnPlan) shares it in — without this every
         // layer of every request would re-grow a fresh arena.
-        let mut engine_x: Box<dyn SpmmEngine> = if combination_sharded {
-            let mut engine =
-                ShardedEngine::with_partitioner(config.clone(), config.combination_partitioner());
-            if let Some(arena) = xw_arena {
-                engine.set_arena(Arc::clone(arena));
-            }
-            Box::new(engine)
-        } else {
-            let mut engine = FastEngine::new(config.clone());
-            if let Some(arena) = xw_arena {
-                engine.set_arena(Arc::clone(arena));
-            }
-            Box::new(engine)
-        };
+        if let Some(arena) = xw_arena {
+            engine_x.set_arena(Arc::clone(arena));
+        }
         let xw = engine_x.run(&x_csc, w, &format!("L{}:X*W", l + 1))?;
         let (xw_c, xw_stats) = (xw.c, xw.stats);
         // Stage 2: A × (XW) on the persistent A engine/session.
@@ -286,9 +266,9 @@ impl GcnRunner {
 
     /// Runs one warm-up inference (identical to [`run`](GcnRunner::run))
     /// and extracts the reusable per-graph [`GcnPlan`]: the graph, the
-    /// weights, and the frozen tuned plan (or per-shard plans, under a
-    /// sharded [`ShardPolicy`]) for `A`. The warm-up's own outcome is
-    /// returned alongside so the tuning pass is never wasted.
+    /// weights, and the frozen per-shard plans for `A` (one, on a single
+    /// device). The warm-up's own outcome is returned alongside so the
+    /// tuning pass is never wasted.
     ///
     /// # Errors
     ///
@@ -418,10 +398,11 @@ impl GcnRunner {
         ))
     }
 
-    /// One cold inference on a fresh engine for `A`, which persists across
-    /// layers so its tuned row map is reused: the shard pipeline streaming
-    /// from the configured store (the builder rejects store + sharded A),
-    /// resident shards under a sharded policy, or a single device.
+    /// One cold inference on a fresh shard engine for `A`, which persists
+    /// across layers so its tuned row maps are reused: streaming from the
+    /// configured store (the builder rejects store + sharded A), or
+    /// resident shards cut by the aggregation-side policy (the
+    /// whole-operand cut when it resolves to one).
     fn warm_up(
         config: &AccelConfig,
         input: &GcnInput,
@@ -429,8 +410,6 @@ impl GcnRunner {
         let a = &input.a_norm_csc;
         let mut engine_a: Box<dyn AEngine> = if config.store.is_some() {
             Box::new(Self::open_streaming(config, a)?)
-        } else if config.shards == ShardPolicy::Single {
-            Box::new(FastEngine::new(config.clone()))
         } else {
             Box::new(ShardedEngine::new(config.clone()))
         };
@@ -505,8 +484,8 @@ impl GcnRunner {
 
 /// A prepared per-graph inference plan: everything that is a function of
 /// the graph and the model — the normalized adjacency, the layer weights,
-/// and the frozen `A`-side tuning state (one [`TunedPlan`], or one per
-/// column shard under a sharded [`ShardPolicy`]) — none of what is a
+/// and the frozen `A`-side tuning state (one [`TunedPlan`] per column
+/// shard; exactly one under an unsharded [`ShardPolicy`]) — none of what is a
 /// function of a request. Produced by [`GcnRunner::prepare`]; executed per
 /// request by [`GcnPlan::run`]. Shareable: `&GcnPlan` may serve concurrent
 /// requests (see the plan concurrency contract in `DESIGN.md` §6/§7).
@@ -560,18 +539,15 @@ impl GcnPlan {
         self.weights.len()
     }
 
-    /// The frozen single-device tuned plan for `A`, when the plan was
-    /// prepared unsharded (`None` under a sharded policy — see
+    /// The frozen single-device tuned plan for `A`: the sole member of a
+    /// whole-operand plan (`None` for a multi-shard or streamed plan — see
     /// [`sharded_plan`](GcnPlan::sharded_plan)).
     pub fn plan_a(&self) -> Option<&TunedPlan> {
-        match &self.a_plan {
-            APlan::Single(plan) => Some(plan),
-            _ => None,
-        }
+        self.sharded_plan().and_then(ShardedPlan::whole_plan)
     }
 
-    /// The frozen per-shard plans for `A`, when the plan was prepared
-    /// under a sharded policy.
+    /// The frozen per-shard plans for `A`, for every resident plan (one
+    /// whole-operand shard when prepared unsharded).
     pub fn sharded_plan(&self) -> Option<&ShardedPlan> {
         match &self.a_plan {
             APlan::Sharded(plan) => Some(plan),
@@ -626,7 +602,8 @@ impl GcnPlan {
     /// Estimated heap bytes this plan keeps resident while cached: the
     /// normalized adjacency (CSC arrays), the layer weights, and the
     /// frozen `A`-side tuning state (row map(s) + replay cache(s), plus
-    /// per-shard operand slices when sharded). The serving front-end
+    /// per-shard operand slices of a multi-shard cut; the whole-operand
+    /// cut keeps none). The serving front-end
     /// evicts against a budget over these estimates — they track the
     /// dominant arrays, not allocator-exact overheads, which is all a
     /// relative LRU budget needs.
@@ -639,8 +616,8 @@ impl GcnPlan {
 
     /// Allocation/reuse counters over every scratch pool the plan owns:
     /// the `A`-side plan's own pool — which also serves the per-layer
-    /// `X × W` engines (see [`run`](GcnPlan::run)) — plus, when sharded,
-    /// each shard member's pool. `created` stable across warm requests ⇔
+    /// `X × W` engines (see [`run`](GcnPlan::run)) and a whole-operand
+    /// member — plus each multi-shard member's pool. `created` stable across warm requests ⇔
     /// steady-state inference is allocation-free on the accumulate path.
     pub fn scratch_stats(&self) -> ArenaStats {
         with_a_plan!(&self.a_plan, |plan| plan.scratch_stats())
@@ -905,9 +882,10 @@ mod tests {
             let (plan, warmup) = runner.prepare(&input).unwrap();
             assert_eq!(warmup.output, reference.output);
             assert_eq!(plan.shard_count(), shards);
-            // Any Fixed policy (even Fixed(1)) takes the sharded path.
-            assert!(plan.plan_a().is_none());
+            // Every resident plan is a shard plan; one shard is the
+            // whole-operand cut, whose sole member is the single device.
             assert!(plan.sharded_plan().is_some());
+            assert_eq!(plan.plan_a().is_some(), shards == 1);
             assert!(plan.matches(&input));
             let served = plan.run_input(&input).unwrap();
             assert_eq!(served.output, reference.output, "{shards} shards, warm");
@@ -915,6 +893,30 @@ mod tests {
                 assert_eq!(layer.a_xw.tuning_rounds(), 0);
             }
         }
+    }
+
+    /// `Fixed(1)` and `Single` both resolve to the whole-operand cut: the
+    /// same plan, charged the same bytes (no second copy of `A`), with the
+    /// same output bits and simulated stats.
+    #[test]
+    fn fixed_one_plan_is_the_single_plan() {
+        let input = small_input(192, 20);
+        let single = Design::LocalPlusRemote { hop: 1 }.apply(config(16));
+        let mut fixed = single.clone();
+        fixed.shards = ShardPolicy::Fixed(1);
+        fixed.combination_shards = ShardPolicy::Fixed(1);
+        let bits = |o: &GcnRunOutcome| -> Vec<u32> {
+            o.output.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        let (single_plan, single_warm) = GcnRunner::new(single).prepare(&input).unwrap();
+        let (fixed_plan, fixed_warm) = GcnRunner::new(fixed).prepare(&input).unwrap();
+        assert_eq!(fixed_plan.memory_bytes(), single_plan.memory_bytes());
+        assert_eq!(bits(&fixed_warm), bits(&single_warm));
+        assert_eq!(fixed_warm.stats, single_warm.stats);
+        let fixed_served = fixed_plan.run(&input.x1).unwrap();
+        let single_served = single_plan.run(&input.x1).unwrap();
+        assert_eq!(bits(&fixed_served), bits(&single_served));
+        assert_eq!(fixed_served.stats, single_served.stats);
     }
 
     #[test]
@@ -931,8 +933,8 @@ mod tests {
             assert_eq!(cold.output, reference.output, "{xw_shards} X shards, cold");
             assert_eq!(cold.x_density, reference.x_density);
             if xw_shards == 1 {
-                // A 1-resolved policy dispatches to the plain engine:
-                // stats (not just outputs) degenerate to the unsharded run.
+                // A 1-resolved policy is the whole-operand cut: stats (not
+                // just outputs) equal the unsharded run's.
                 assert_eq!(cold.stats, reference.stats);
             }
             // Warm requests against the prepared plan shard X too.

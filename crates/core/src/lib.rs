@@ -19,20 +19,22 @@
 //! reproduce the paper's CLB and inferences-per-kJ reporting.
 //!
 //! The converged tuning state is a first-class artifact: a warm-up phase
-//! ([`SpmmEngine::plan`] / [`GcnRunner::prepare`]) produces a frozen,
-//! shareable [`TunedPlan`]/[`GcnPlan`], and per-request
+//! ([`FastEngine::freeze_plan`] / [`GcnRunner::prepare`]) produces a
+//! frozen, shareable [`TunedPlan`]/[`GcnPlan`], and per-request
 //! [`SpmmSession`]s/[`GcnPlan::run`] execute against it without re-paying
 //! tuning. [`GcnService`] builds the batched multi-request serving
 //! front-end on top (prepared per-graph plans, deterministic batch
 //! fan-out, per-request latency + aggregate throughput reporting).
 //!
-//! Graphs bigger than one device run column-sharded ([`ShardPolicy`] /
-//! [`ShardedEngine`] / [`ShardedPlan`]): the adjacency is split into
-//! column shards, each with its own auto-tuned PE array, and partial
-//! products merge in an order pinned bit-identical to the unsharded path
-//! (see `DESIGN.md` §7). One shard pipeline serves two [`ShardSource`]s:
-//! [`Resident`] slices held in memory, and [`Stored`] slices streamed from
-//! a chunked on-disk store under a host-memory budget (`DESIGN.md` §13).
+//! Every GCN SPMM runs on one shard pipeline ([`ShardPolicy`] /
+//! [`ShardedEngine`] / [`ShardedPlan`]): the operand is split into column
+//! shards, each with its own auto-tuned PE array, and partial products
+//! merge in an order pinned bit-identical to one device (see `DESIGN.md`
+//! §7). A policy that resolves to one shard is the whole-operand cut — the
+//! paper's single device, with no copy and no merge. The pipeline serves
+//! two [`ShardSource`]s: [`Resident`] slices held in memory, and [`Stored`]
+//! slices streamed from a chunked on-disk store under a host-memory budget
+//! (`DESIGN.md` §13).
 //!
 //! Strategy selection itself can be delegated to the calibrated per-layer
 //! cost model ([`StrategyPolicy::Auto`] / [`cost`]): prepare profiles the
@@ -83,13 +85,12 @@ pub use config::{
     AccelConfig, AccelConfigBuilder, Design, MappingKind, RetryPolicy, ServeOptions, ShardPolicy,
     SltPolicy, StallMode, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET,
 };
-pub use cost::{AutoDecision, Calibration, CostProfile, ExecOrder, IoForecast, LayerForecast};
+pub use cost::{AutoDecision, Calibration, CostProfile, IoForecast, LayerForecast};
 pub use energy::{cycles_to_ms, EnergyModel};
 pub use engine::{
-    ArenaStats, DetailedEngine, FastEngine, PlanOutcome, Resident, Scratch, ScratchArena, Shard,
-    ShardSource, ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession, SpmmEngine,
-    SpmmOutcome, SpmmSession, Stored, StreamStats, StreamedPlan, StreamingEngine, TdqMode,
-    TunedPlan,
+    ArenaStats, DetailedEngine, FastEngine, Resident, Scratch, ScratchArena, Shard, ShardSource,
+    ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession, SpmmEngine, SpmmOutcome,
+    SpmmSession, Stored, StreamStats, StreamedPlan, StreamingEngine, TdqMode, TunedPlan,
 };
 pub use error::AccelError;
 pub use exec::{num_threads, par_map, par_map_isolated, par_map_threads};

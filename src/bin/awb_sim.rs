@@ -571,27 +571,17 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     if config.combination_shards != ShardPolicy::Single {
         // Layer 1's X cut; later layers re-derive their own from each X.
-        // Mirror run_layers' dispatch: a 1-resolved policy executes on the
-        // plain engine, so report that instead of a sharded critical path.
-        let x1_csc = input.x1.to_csc();
-        let partitioner = config.combination_partitioner();
-        if partitioner.is_single(&x1_csc) {
-            println!(
-                "xw-sharding: {} resolves to a single device for X1 ({} nnz) — plain engine",
-                config.combination_shards.label(),
-                x1_csc.nnz(),
-            );
-        } else {
-            let shards = partitioner.partition(&x1_csc);
-            let nnz: Vec<usize> = shards.iter().map(|s| s.nnz).collect();
-            println!(
-                "xw-sharding: {} column shards of X1 ({}), per-shard nnz {:?}, X*W cycles are \
-                 the critical path over shard devices",
-                shards.len(),
-                config.combination_shards.label(),
-                nnz,
-            );
-        }
+        let shards = config
+            .combination_partitioner()
+            .partition(&input.x1.to_csc());
+        let nnz: Vec<usize> = shards.iter().map(|s| s.nnz).collect();
+        println!(
+            "xw-sharding: {} column shards of X1 ({}), per-shard nnz {:?}, X*W cycles are the \
+             critical path over shard devices",
+            shards.len(),
+            config.combination_shards.label(),
+            nnz,
+        );
     }
     if let Some(stream) = &outcome.stream {
         print_stream(&config, stream, "resident peak");
