@@ -19,18 +19,18 @@
 //! under the pool's mutex hands the `Vec` to exactly one guard (no
 //! slicing of a shared arena region is involved). Buffers are zeroed at
 //! checkout (`clear` + `resize`, a memset without a malloc), so a dirty
-//! buffer returned by a timing-only span can never leak values into a
-//! later round; numerics are therefore bit-identical with the arena on,
-//! off ([`ScratchArena::disabled`]), warm, or cold.
+//! buffer returned by one round can never leak values into a later one;
+//! numerics are therefore bit-identical with the arena on, off
+//! ([`ScratchArena::disabled`]), warm, or cold.
 //!
-//! # Sizing across shard axes
+//! # One pool per shard pipeline
 //!
-//! Pools grow to the workload's *concurrent* high-water mark, not its
-//! total request count: the pool cap ([`MAX_POOLED`] buffers per type)
-//! bounds worst-case retention, and values-free shard members never check
-//! out accumulator (`f32`) scratch at all — timing-only execution only
-//! draws the small per-round simulator vectors, so a member arena holds
-//! exactly what that shard needs.
+//! A shard pipeline owns one arena and hands it to every member: the
+//! members' timing passes draw only the small per-round simulator
+//! vectors, and the pass's one numerics call draws the output and the
+//! accumulator (`f32`) scratch. Pools grow to the workload's *concurrent*
+//! high-water mark, not its total request count, and the pool cap
+//! ([`MAX_POOLED`] buffers per type) bounds worst-case retention.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -63,8 +63,8 @@ impl<T: Copy + Default> Pool<T> {
     /// Hands out a zeroed buffer of exactly `len` elements.
     fn take(&self, len: usize, pooling: bool) -> Vec<T> {
         if len == 0 {
-            // A zero-len checkout (e.g. a values-free session's accumulator)
-            // must be free: no pool traffic, no counter movement.
+            // A zero-len checkout (e.g. an empty output matrix) must be
+            // free: no pool traffic, no counter movement.
             return Vec::new();
         }
         // Best-fit-by-scan, newest first: if *any* pooled buffer has the
@@ -137,7 +137,7 @@ pub struct ArenaStats {
 
 impl ArenaStats {
     /// Sums another arena's counters/retention into this one — for
-    /// aggregating a plan's own pools with its shard members'.
+    /// aggregating the pools of several plans (e.g. a service's cache).
     pub fn absorb(&mut self, other: ArenaStats) {
         self.created += other.created;
         self.reused += other.reused;

@@ -32,8 +32,16 @@
 //! [`FastEngine::freeze_plan`]. See `DESIGN.md` §5/§6 for the validity
 //! argument and the plan/execute split.
 //!
-//! Frozen-phase rounds are independent (each owns one output column of
-//! `C`), so they execute on the [`exec`](crate::exec) substrate —
+//! # Timing pass and numerics
+//!
+//! Rounds simulate timing only; values never change the schedule. The
+//! crate-private `FastEngine::simulate` is the timing pass (tuning rounds
+//! read only each round's non-zero pattern, steady rounds replay or
+//! simulate under the frozen map), and [`SpmmEngine::run`] is that pass
+//! plus one call to the pinned-order blocked kernel
+//! (`steady::compute_columns`) on the engine's arena. Shard members call
+//! only the timing pass. Frozen-phase rounds are independent, so fresh
+//! patterns are simulated on the [`exec`](crate::exec) substrate —
 //! deterministic order, bit-identical to the sequential path at any
 //! `AWB_THREADS` setting.
 //!
@@ -43,7 +51,7 @@
 use crate::config::AccelConfig;
 use crate::engine::arena::{ArenaStats, ScratchArena};
 use crate::engine::steady::{
-    accumulate_round, column_pattern, emit_column, execute_steady, structure_fingerprint,
+    column_pattern_cols, compute_columns, execute_steady, simulate_round, structure_fingerprint,
     MemoryParams, ReplayCache, SimParams, SteadySpan,
 };
 use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome, TunedPlan};
@@ -88,18 +96,11 @@ pub struct FastEngine {
     /// [`exec::num_threads`], i.e. `AWB_THREADS` / available parallelism).
     threads: Option<usize>,
     replay_enabled: bool,
-    /// When `false` the engine runs timing-only: it never touches the
-    /// numerics (the returned `c` stays all-zeros) while every statistic
-    /// stays bit-identical — timing depends on the non-zero pattern, never
-    /// the values. Shard-member engines run in this mode because the
-    /// sharded merge recomputes the output through the pinned global-order
-    /// kernel anyway (see `engine::sharded`).
-    values_enabled: bool,
     cache: ReplayCache,
     /// Scratch pool for accumulator/simulator/output buffers, shared into
     /// every plan frozen from this engine (and replaceable wholesale via
-    /// [`set_arena`](FastEngine::set_arena), e.g. a GCN runner threading
-    /// one arena through its per-layer combination engines).
+    /// [`set_arena`](FastEngine::set_arena), e.g. a shard pipeline handing
+    /// its one pool to every member).
     arena: Arc<ScratchArena>,
 }
 
@@ -118,7 +119,6 @@ impl FastEngine {
         FastEngine {
             threads: config.threads,
             replay_enabled: config.replay,
-            values_enabled: true,
             config,
             sharing: None,
             map: None,
@@ -161,21 +161,9 @@ impl FastEngine {
         }
     }
 
-    /// Enables or disables the numerics half of [`run`](SpmmEngine::run)
-    /// (enabled by default). With values disabled the engine is
-    /// **timing-only**: the returned `c` is all-zeros (correct shape), but
-    /// the statistics — rounds, cycles, queue depths, replay counters —
-    /// are bit-identical to a values-carrying run on the same inputs,
-    /// because round timing is a pure function of the non-zero pattern.
-    /// Shard-member engines use this to skip the partial numerics the
-    /// pinned sharded merge discards.
-    pub fn set_values_enabled(&mut self, on: bool) {
-        self.values_enabled = on;
-    }
-
-    /// Replaces the engine's scratch arena with a shared one — used by the
-    /// GCN runner to pool scratch across the per-layer combination engines
-    /// instead of each engine warming its own.
+    /// Replaces the engine's scratch arena with a shared one — used by a
+    /// shard pipeline so that every member draws from the pipeline's pool
+    /// instead of warming its own.
     pub fn set_arena(&mut self, arena: Arc<ScratchArena>) {
         self.arena = arena;
     }
@@ -240,8 +228,17 @@ impl FastEngine {
     }
 }
 
-impl SpmmEngine for FastEngine {
-    fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
+impl FastEngine {
+    /// The timing pass of [`run`](SpmmEngine::run): simulates every round
+    /// of `A × B` (tuning rounds, then the frozen-map steady state) and
+    /// returns the statistics, without computing the product. Round timing
+    /// reads only the non-zero pattern of `B`.
+    pub(crate) fn simulate(
+        &mut self,
+        a: &Csc,
+        b: &DenseMatrix,
+        label: &str,
+    ) -> Result<SpmmStats, AccelError> {
         check_shapes(a, b)?;
         self.ensure_state(a.rows())?;
         let n_pes = self.config.n_pes;
@@ -257,26 +254,15 @@ impl SpmmEngine for FastEngine {
             sharing: (self.config.local_hop > 0)
                 .then_some(self.sharing.expect("initialized in ensure_state")),
         };
-        let threads = self.threads.unwrap_or_else(exec::num_threads);
         // Replayed timings describe *this* operand's structure under the
         // frozen map; a structurally different operand invalidates them.
         let use_replay = self.replay_enabled && memory.on_chip;
         if use_replay {
             self.cache.guard(structure_fingerprint(a));
         }
-
-        // Local handle so scratch checkouts coexist with the `self.map`/
-        // `self.tuner` mutable borrows below.
-        let arena = Arc::clone(&self.arena);
-        // The output matrix draws from the arena too: zeroed at take, and
-        // recyclable by callers that consume it (`ScratchArena::recycle_f32`).
-        let mut c = DenseMatrix::from_vec(n_rows, b.cols(), arena.take_f32(n_rows * b.cols()))
-            .expect("arena buffer sized to the output matrix");
+        let threads = self.threads();
         let mut rounds = Vec::with_capacity(b.cols());
         let mut queue_high_water = vec![0u32; n_pes];
-        // Timing-only engines never touch the column accumulator (a
-        // zero-length checkout is allocation-free).
-        let mut col_acc = arena.checkout_f32(if self.values_enabled { n_rows } else { 0 });
 
         // ---- Phase 1: tuning rounds, inherently sequential ----
         // Each round observes the map the previous round's switching
@@ -285,25 +271,15 @@ impl SpmmEngine for FastEngine {
         let tuner = self.tuner.as_mut().expect("initialized in ensure_state");
         let mut k = 0usize;
         while k < b.cols() && tuner.is_active() {
-            // Timing-only engines never read the values half.
-            let (cols, vals) = if self.values_enabled {
-                column_pattern(b, k)
-            } else {
-                (crate::engine::steady::column_pattern_cols(b, k), Vec::new())
-            };
             let mut row_tasks = tuner.needs_row_counts().then(|| vec![0u32; n_rows]);
-            let sim = crate::engine::steady::simulate_round(
+            let sim = simulate_round(
                 a,
-                &cols,
+                &column_pattern_cols(b, k),
                 map.pe_of_row(),
                 params,
                 row_tasks.as_deref_mut(),
-                &arena,
+                &self.arena,
             );
-            if self.values_enabled {
-                accumulate_round(a, &cols, &vals, &mut col_acc);
-                emit_column(&mut c, k, &mut col_acc);
-            }
 
             // An on-chip operand pays its SPMMeM fill once (charged to
             // round 0); an off-chip operand's per-round streaming cost is
@@ -329,40 +305,45 @@ impl SpmmEngine for FastEngine {
         }
 
         // ---- Phase 2: steady-state rounds under the frozen map ----
-        // Rounds are now independent (each owns output column k); timing
-        // is a pure function of the round's non-zero pattern, so repeated
-        // patterns replay from cache and fresh work runs on `exec`.
+        // Rounds are now independent; timing is a pure function of the
+        // round's non-zero pattern, so repeated patterns replay from cache
+        // and fresh work runs on `exec`.
         execute_steady(
             SteadySpan {
                 a,
                 b,
                 start: k,
-                pe_of_row: self
-                    .map
-                    .as_ref()
-                    .expect("initialized in ensure_state")
-                    .pe_of_row(),
+                pe_of_row: map.pe_of_row(),
                 params,
                 memory,
                 threads,
                 cache: use_replay.then_some(&self.cache),
-                arena: &arena,
-                compute_values: self.values_enabled,
+                arena: &self.arena,
             },
-            &mut c,
             &mut rounds,
             &mut queue_high_water,
         );
 
-        Ok(SpmmOutcome {
-            c,
-            stats: SpmmStats {
-                label: label.to_owned(),
-                n_pes,
-                rounds,
-                queue_high_water,
-            },
+        Ok(SpmmStats {
+            label: label.to_owned(),
+            n_pes,
+            rounds,
+            queue_high_water,
         })
+    }
+
+    fn threads(&self) -> usize {
+        self.threads.unwrap_or_else(exec::num_threads)
+    }
+}
+
+impl SpmmEngine for FastEngine {
+    /// The timing pass, then the product through the pinned-order blocked
+    /// kernel on the engine's arena.
+    fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
+        let stats = self.simulate(a, b, label)?;
+        let c = compute_columns(a, b, self.threads(), &self.arena);
+        Ok(SpmmOutcome { c, stats })
     }
 
     fn config(&self) -> &AccelConfig {
@@ -488,26 +469,6 @@ mod tests {
             assert_eq!(o1.c, o2.c, "{design:?}");
             assert_eq!(straight.replay_hits() + straight.replay_misses(), 0);
         }
-    }
-
-    #[test]
-    fn values_free_mode_matches_timing_and_zeroes_output() {
-        // Timing-only execution (used by shard members) must report
-        // statistics and replay behaviour bit-identical to a
-        // values-carrying run — only the numerics are skipped.
-        let a = skewed(96, 60);
-        let b = dense(96, 8);
-        let cfg = Design::LocalPlusRemote { hop: 1 }.apply(config(8));
-        let mut carrying = FastEngine::new(cfg.clone());
-        let with_values = carrying.run(&a, &b, "t").unwrap();
-        let mut timing_only = FastEngine::new(cfg);
-        timing_only.set_values_enabled(false);
-        let without = timing_only.run(&a, &b, "t").unwrap();
-        assert_eq!(without.stats, with_values.stats);
-        assert_eq!(without.c, DenseMatrix::zeros(96, 8));
-        assert_ne!(with_values.c, without.c);
-        assert_eq!(timing_only.replay_hits(), carrying.replay_hits());
-        assert_eq!(timing_only.replay_misses(), carrying.replay_misses());
     }
 
     #[test]

@@ -22,6 +22,15 @@
 //! `&TunedPlan` — so N requests on one graph pay tuning once and hit the
 //! replay cache from request 1. See `DESIGN.md` §6.
 //!
+//! `FastEngine` and `SpmmSession` simulate timing only: rebalancing
+//! decides which PE runs a MAC, never what it computes, so their rounds
+//! read only the non-zero pattern of `B`. Each SPMM's product is computed
+//! once, by the pinned-order blocked kernel `steady::compute_columns`:
+//! their `run` is the timing pass plus that one call, and a shard pass
+//! runs its members' timing passes plus that one call. `DetailedEngine`
+//! keeps its own component-accurate numerics, because it is the
+//! reference.
+//!
 //! The GCN runner drives every SPMM through one shard pipeline
 //! ([`ShardedEngine`] → [`ShardedPlan`] → [`ShardedSession`]): one
 //! `FastEngine`/session per column shard, written once over a
@@ -29,9 +38,9 @@
 //! shard slice in memory and serves both GCN phases: `A × (XW)` under
 //! `AccelConfig.shards`, each layer's `X × W` under
 //! `AccelConfig.combination_shards`. A policy that resolves to one shard
-//! is the whole-operand cut — the paper's single device: one member with
-//! values on, no slice copy, no merge. A multi-shard cut runs its members
-//! timing-only and merges the numerics in the pinned global order.
+//! is the whole-operand cut — the paper's single device: one member over
+//! the pass's own operands, no slice copy, an identity merge. Every member
+//! draws its scratch from the pipeline's one arena.
 //! [`Stored`] reads the slices from a chunked on-disk store two at a time
 //! (compute on one, prefetch the next), so peak resident sparse bytes stay
 //! under a host-memory budget while outputs remain bit-identical. See

@@ -13,6 +13,10 @@
 //! and then executed against any number of times through cheap
 //! per-request [`SpmmSession`]s.
 //!
+//! A session's `run` is a timing pass over the frozen map plus one call to
+//! the pinned-order blocked kernel (`steady::compute_columns`) on the
+//! plan's arena; shard members call only the timing pass.
+//!
 //! # Concurrency contract
 //!
 //! A plan is `Sync`: any number of sessions may execute against one
@@ -28,7 +32,9 @@
 
 use crate::config::AccelConfig;
 use crate::engine::arena::{ArenaStats, ScratchArena};
-use crate::engine::steady::{execute_steady, MemoryParams, ReplayCache, SimParams, SteadySpan};
+use crate::engine::steady::{
+    compute_columns, execute_steady, MemoryParams, ReplayCache, SimParams, SteadySpan,
+};
 use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome};
 use crate::error::AccelError;
 use crate::exec;
@@ -205,7 +211,6 @@ impl TunedPlan {
             plan: self,
             threads: self.config.threads,
             verify_operand: true,
-            compute_values: true,
         }
     }
 
@@ -215,10 +220,8 @@ impl TunedPlan {
     /// its adjacency) — the shape/row-count checks still run.
     pub(crate) fn session_trusted(&self) -> SpmmSession<'_> {
         SpmmSession {
-            plan: self,
-            threads: self.config.threads,
             verify_operand: false,
-            compute_values: true,
+            ..self.session()
         }
     }
 
@@ -247,9 +250,6 @@ pub struct SpmmSession<'p> {
     /// Whether `run` re-hashes the operand's structure against the plan's
     /// fingerprint (false only via `TunedPlan::session_trusted`).
     verify_operand: bool,
-    /// Whether `run` computes the numerics (false = timing-only, `c`
-    /// stays all-zeros; stats are bit-identical either way).
-    compute_values: bool,
 }
 
 impl SpmmSession<'_> {
@@ -265,21 +265,14 @@ impl SpmmSession<'_> {
         self.threads = threads;
     }
 
-    /// Enables or disables the numerics half of [`run`](SpmmEngine::run)
-    /// (enabled by default) — the session analogue of
-    /// [`FastEngine::set_values_enabled`](crate::FastEngine::set_values_enabled).
-    /// With values disabled the returned `c` is all-zeros while every
-    /// statistic (and the shared replay cache's behaviour) stays
-    /// bit-identical. Shard-member sessions run timing-only because the
-    /// sharded merge recomputes the output through the pinned
-    /// global-order kernel.
-    pub fn set_values_enabled(&mut self, on: bool) {
-        self.compute_values = on;
-    }
-}
-
-impl SpmmEngine for SpmmSession<'_> {
-    fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
+    /// The timing pass of [`run`](SpmmEngine::run): every round under the
+    /// frozen map, replayed or simulated, without computing the product.
+    pub(crate) fn simulate(
+        &self,
+        a: &Csc,
+        b: &DenseMatrix,
+        label: &str,
+    ) -> Result<SpmmStats, AccelError> {
         check_shapes(a, b)?;
         let plan = self.plan;
         if a.rows() != plan.row_map.n_rows() {
@@ -300,11 +293,6 @@ impl SpmmEngine for SpmmSession<'_> {
             }
         }
         let n_pes = plan.config.n_pes;
-        // Output and scratch come from the plan's shared arena: a warm
-        // arena makes the per-request steady path allocation-free.
-        let mut c =
-            DenseMatrix::from_vec(a.rows(), b.cols(), plan.arena.take_f32(a.rows() * b.cols()))
-                .expect("arena buffer sized to the output matrix");
         let mut rounds = Vec::with_capacity(b.cols());
         let mut queue_high_water = vec![0u32; n_pes];
         // The cache is shared only when the operand is resident on chip
@@ -318,24 +306,34 @@ impl SpmmEngine for SpmmSession<'_> {
                 pe_of_row: plan.row_map.pe_of_row(),
                 params: plan.sim_params(),
                 memory: plan.memory,
-                threads: self.threads.unwrap_or_else(exec::num_threads),
+                threads: self.threads(),
                 cache,
                 arena: &plan.arena,
-                compute_values: self.compute_values,
             },
-            &mut c,
             &mut rounds,
             &mut queue_high_water,
         );
-        Ok(SpmmOutcome {
-            c,
-            stats: SpmmStats {
-                label: label.to_owned(),
-                n_pes,
-                rounds,
-                queue_high_water,
-            },
+        Ok(SpmmStats {
+            label: label.to_owned(),
+            n_pes,
+            rounds,
+            queue_high_water,
         })
+    }
+
+    fn threads(&self) -> usize {
+        self.threads.unwrap_or_else(exec::num_threads)
+    }
+}
+
+impl SpmmEngine for SpmmSession<'_> {
+    /// The timing pass, then the product through the pinned-order blocked
+    /// kernel. Output and scratch come from the plan's shared arena: a
+    /// warm arena makes the per-request steady path allocation-free.
+    fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
+        let stats = self.simulate(a, b, label)?;
+        let c = compute_columns(a, b, self.threads(), &self.plan.arena);
+        Ok(SpmmOutcome { c, stats })
     }
 
     fn config(&self) -> &AccelConfig {

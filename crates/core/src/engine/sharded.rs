@@ -17,9 +17,9 @@
 //!   [`ColumnPartitioner`](awb_sparse::partition::ColumnPartitioner);
 //!   shards execute concurrently on the [`exec`](crate::exec) substrate.
 //!   A policy that resolves to one shard yields the *whole-operand cut*:
-//!   one shard over every column that keeps no slice, runs its member with
-//!   values on, and returns the member's outcome as the pass outcome — the
-//!   paper's single device, with no copy and no merge.
+//!   one shard over every column that keeps no slice and hands its member
+//!   the pass's own `A` and `B` by reference — the paper's single device,
+//!   with no copy, and a merge that is the identity.
 //! * [`Stored`] — slices read from a chunked on-disk [`SparseStore`],
 //!   cut chunk-aligned from its manifest alone (no values loaded) and
 //!   executed **sequentially** with a bounded working set: while shard `i`
@@ -29,33 +29,32 @@
 //!   `--host-mem-budget` knob — however large the stored graph is
 //!   (`DESIGN.md` §13).
 //!
-//! # Merge determinism
+//! # Timing per member, numerics once per pass
 //!
-//! Merged *numerics* follow the same global-order column stream the
-//! unsharded engines use, so sharded outputs are **bit-identical** to
-//! unsharded runs by construction — summing collapsed f32 shard partials
-//! would regroup the per-row addition chains and drift in the last ulp. A
-//! physical multi-device merge unit achieves the same determinism by
-//! accumulating shard partial products in stream order; the simulator
-//! realizes that pinned order directly:
+//! Members simulate **timing only**, by construction: rebalancing decides
+//! which PE runs a MAC, never what it computes, so a member engine or
+//! session returns just its shard's [`SpmmStats`]. The pass computes the
+//! product once, in the same global-order column stream the unsharded
+//! engines use, so sharded outputs are **bit-identical** to unsharded runs
+//! — summing collapsed f32 shard partials would regroup the per-row
+//! addition chains and drift in the last ulp. A physical multi-device
+//! merge unit achieves the same determinism by accumulating shard partial
+//! products in stream order; the simulator realizes that pinned order
+//! directly:
 //!
-//! * resident shards merge through [`compute_columns`], shared with
-//!   `execute_steady`;
-//! * stored shards feed block accumulators that persist across shards
-//!   (one per output block, drained once after the last shard). For every
-//!   block, shards are visited in ascending column order and columns
-//!   within a shard in ascending order, so the per-block reduction replays
+//! * a resident pass runs [`compute_columns`] on the whole operand, the
+//!   one numerics kernel every timing engine uses;
+//! * a stored pass never holds all of `A`, so its shards feed block
+//!   accumulators that persist across shards (one per output block,
+//!   drained once after the last shard). For every block, shards are
+//!   visited in ascending column order and columns within a shard in
+//!   ascending order, so the per-block reduction replays
 //!   `csc_accumulate_block`'s global ascending-`j` stream — the same
 //!   skip-if-all-zero rule, the same `csc_axpy_block` calls, the same
 //!   final `drain_block_into`.
 //!
-//! Shard-member engines and sessions of a multi-shard cut therefore run
-//! **values-free** (timing-only — see [`FastEngine::set_values_enabled`]):
-//! the partial numerics the merge would discard are never computed, so a
-//! sharded run pays the accumulate work exactly once. Timing is a pure function of
-//! each round's non-zero pattern, so shard statistics are bit-identical to
-//! what a values-carrying shard run would report (pinned by the tests
-//! below).
+//! Every member draws its simulator scratch from the pipeline's one
+//! [`ScratchArena`], which also holds the output and the accumulators.
 //!
 //! # Stats semantics
 //!
@@ -235,6 +234,16 @@ impl<S: ShardSource, D> Shard<S, D> {
         self.nnz
     }
 
+    /// The shard's rows of the dense operand: `b` itself for a shard over
+    /// every column, a copy of its row range otherwise.
+    fn rows_of<'b>(&self, b: &'b DenseMatrix) -> Cow<'b, DenseMatrix> {
+        if self.cols == (0..b.rows()) {
+            Cow::Borrowed(b)
+        } else {
+            Cow::Owned(b.row_range(self.cols.clone()))
+        }
+    }
+
     /// The same shard on another device (freezing swaps each member
     /// engine for its plan; the slice handle is shared, not re-copied).
     fn on<E>(&self, device: E) -> Shard<S, E> {
@@ -253,18 +262,16 @@ pub struct Pass<'a> {
     a: &'a Csc,
     b: &'a DenseMatrix,
     label: &'a str,
-    /// Pool for the merged output and the merge's block accumulators.
+    /// The pipeline's pool, for the output and the accumulators.
     arena: &'a ScratchArena,
     /// Host worker threads; `None` defers to [`exec::num_threads`].
     threads: Option<usize>,
 }
 
-/// Simulates one shard on its device, given the shard's column slice, the
-/// matching rows of `B`, and whether the shard is the whole-operand cut
-/// (the only cut whose member computes values; every other member runs
-/// timing-only and its `C` is discarded).
+/// Simulates the timing of one shard on its device, given the shard's
+/// column slice and the matching rows of `B`.
 pub type RunOne<'a, D> =
-    dyn Fn(&D, &Csc, &DenseMatrix, bool) -> Result<SpmmOutcome, AccelError> + Sync + 'a;
+    dyn Fn(&D, &Csc, &DenseMatrix) -> Result<SpmmStats, AccelError> + Sync + 'a;
 
 /// Where a shard pipeline's column slices come from. The engine, plan and
 /// session are written once over this trait; a source supplies only what
@@ -287,13 +294,6 @@ pub trait ShardSource: Debug + Clone + Send + Sync + Sized {
     /// Heap bytes one shard's kept slice holds resident.
     fn slice_bytes(slice: &Self::Slice) -> u64;
 
-    /// True for the whole-operand cut: one shard over every column of `a`
-    /// that keeps no slice. Its member runs with values on, on the
-    /// pipeline's own arena, and its outcome is the pass outcome.
-    fn is_whole<D>(_shard: &Shard<Self, D>) -> bool {
-        false
-    }
-
     /// Materializes one shard's column slice of the operand `a`
     /// ([`AccelError::InvalidInput`] when a store read fails).
     fn load<'s, D>(
@@ -302,15 +302,9 @@ pub trait ShardSource: Debug + Clone + Send + Sync + Sized {
         shard: &'s Shard<Self, D>,
     ) -> Result<Cow<'s, Csc>, AccelError>;
 
-    /// The pool the member engines' (values-free) outputs return to, when
-    /// the source shares one across its shards.
-    fn member_arena(&self) -> Option<&Arc<ScratchArena>> {
-        None
-    }
-
-    /// Executes one request: `run_one` on every shard's device, then the
-    /// pinned-order numerics and the merged statistics. Fails with the
-    /// first shard error or store read failure.
+    /// Executes one request: `run_one` on every shard's device, the
+    /// pinned-order numerics once, and the merged statistics. Fails with
+    /// the first shard error or store read failure.
     fn execute<D: Sync>(
         &self,
         shards: &[Shard<Self, D>],
@@ -392,10 +386,6 @@ impl ShardSource for Resident {
         slice.as_ref().map_or(0, |s| s.heap_bytes() as u64)
     }
 
-    fn is_whole<D>(shard: &Shard<Self, D>) -> bool {
-        shard.slice.is_none()
-    }
-
     fn load<'s, D>(
         &self,
         a: &'s Csc,
@@ -411,31 +401,17 @@ impl ShardSource for Resident {
         run_one: &RunOne<'_, D>,
     ) -> Result<ShardedOutcome, AccelError> {
         let Pass { a, b, arena, .. } = pass;
-        if let [shard] = shards {
-            if Self::is_whole(shard) {
-                // One device over all of `A`: its outcome is the pass's.
-                let outcome = run_one(&shard.device, a, b, true)?;
-                return Ok(ShardedOutcome {
-                    per_shard: vec![outcome.stats.clone()],
-                    outcome,
-                    stream: None,
-                });
-            }
-        }
         let threads = pass.threads.unwrap_or_else(exec::num_threads);
+        // One shard runs inline, so its member keeps every worker.
         let per_shard = exec::par_map_threads(threads, shards, |shard| {
             let slice = self.load(a, shard)?;
-            let b_slice = b.row_range(shard.cols.clone());
-            run_one(&shard.device, &slice, &b_slice, false).map(|out| out.stats)
+            run_one(&shard.device, &slice, &shard.rows_of(b))
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
-        let mut c = DenseMatrix::from_vec(a.rows(), b.cols(), arena.take_f32(a.rows() * b.cols()))
-            .expect("arena buffer sized to the output matrix");
-        compute_columns(a, b, threads, arena, &mut c);
         Ok(ShardedOutcome {
             outcome: SpmmOutcome {
-                c,
+                c: compute_columns(a, b, threads, arena),
                 stats: merge_stats(pass.label, &per_shard),
             },
             per_shard,
@@ -452,9 +428,6 @@ impl ShardSource for Resident {
 pub struct Stored {
     store: Arc<SparseStore>,
     host_budget: usize,
-    /// Pool shared by the member engines' outputs: shards run one at a
-    /// time, so one pool serves them all.
-    member_arena: Arc<ScratchArena>,
 }
 
 /// Plans chunk-aligned shards for `store` so that two consecutive shard
@@ -554,10 +527,6 @@ impl ShardSource for Stored {
         slice.map(Cow::Owned).map_err(store_err)
     }
 
-    fn member_arena(&self) -> Option<&Arc<ScratchArena>> {
-        Some(&self.member_arena)
-    }
-
     /// Sequential shards, prefetch overlapped with compute, pinned-order
     /// numerics into persistent block accumulators drained after the last
     /// shard.
@@ -572,7 +541,7 @@ impl ShardSource for Stored {
         let rows = store.rows();
         let mut c = DenseMatrix::from_vec(rows, b.cols(), arena.take_f32(rows * b.cols()))
             .expect("arena buffer sized to the output matrix");
-        let spans = block_spans(0, b.cols());
+        let spans = block_spans(b.cols());
         // Persistent per-block accumulators: unlike `compute_columns`,
         // which re-scans a resident operand per block, each block
         // accumulates every shard's contribution and is drained exactly
@@ -627,8 +596,7 @@ impl ShardSource for Stored {
             let outs = exec::par_map_threads(lanes, &tasks, |lane| match lane {
                 Lane::Compute => {
                     let t0 = Instant::now();
-                    let b_slice = b.row_range(range.clone());
-                    let timed = run_one(&shard.device, cur_ref, &b_slice, false).map(|out| {
+                    let timed = run_one(&shard.device, cur_ref, &shard.rows_of(b)).map(|stats| {
                         // Numerics: ascending global column order within
                         // each block (shards ascending, `j` ascending
                         // inside the shard), the pinned reduction stream.
@@ -643,7 +611,7 @@ impl ShardSource for Stored {
                                 csc_axpy_block(cur_ref, j, scales, acc);
                             }
                         }
-                        out.stats
+                        stats
                     });
                     LaneOut::Computed(timed, t0.elapsed().as_secs_f64())
                 }
@@ -751,8 +719,8 @@ pub struct ShardedEngine<S: ShardSource = Resident> {
     config: AccelConfig,
     source: S,
     shards: Vec<Shard<S, Mutex<FastEngine>>>,
-    /// Scratch pool for the merged output and the merge's block
-    /// accumulators; shared into the frozen plan.
+    /// The pipeline's one scratch pool — the output, the accumulators
+    /// and every member's simulator scratch; shared into the frozen plan.
     arena: Arc<ScratchArena>,
     /// The last run's streaming statistics.
     stream: Option<StreamStats>,
@@ -801,11 +769,7 @@ impl ShardedEngine<Stored> {
             ));
         }
         let cuts = plan_stream_shards(&store, host_budget);
-        let source = Stored {
-            store,
-            host_budget,
-            member_arena: new_arena(&config),
-        };
+        let source = Stored { store, host_budget };
         Ok(ShardedEngine::from_source(config, source, cuts))
     }
 
@@ -839,26 +803,14 @@ impl<S: ShardSource> ShardedEngine<S> {
         engine
     }
 
-    /// Gives every cut its own member engine. Members of a multi-shard
-    /// cut run timing-only: the merge recomputes the numerics in the
-    /// pinned global order, so per-shard partials would be discarded work
-    /// (module docs). The whole-operand cut's member computes the output
-    /// itself, on the engine's own arena.
+    /// Gives every cut its own timing-only member engine, drawing its
+    /// scratch from the pipeline's arena.
     fn install(&mut self, cuts: &[Shard<S, ()>]) {
         self.shards = cuts
             .iter()
             .map(|cut| {
-                let whole = S::is_whole(cut);
                 let mut engine = FastEngine::new(self.config.clone());
-                engine.set_values_enabled(whole);
-                let arena = if whole {
-                    Some(&self.arena)
-                } else {
-                    self.source.member_arena()
-                };
-                if let Some(arena) = arena {
-                    engine.set_arena(Arc::clone(arena));
-                }
+                engine.set_arena(Arc::clone(&self.arena));
                 cut.on(Mutex::new(engine))
             })
             .collect();
@@ -875,25 +827,19 @@ impl<S: ShardSource> ShardedEngine<S> {
         self.shards.iter().map(|s| count(&lock(&s.device))).sum()
     }
 
-    /// Replaces the engine's scratch arena (the merge's, and the
-    /// whole-operand member's) — lets an owner (e.g. `GcnRunner`) share
-    /// one pool across phases instead of holding one per engine.
+    /// Replaces the pipeline's scratch arena, for the engine and every
+    /// member — lets an owner (e.g. `GcnRunner`) share one pool across
+    /// phases instead of holding one per engine.
     pub fn set_arena(&mut self, arena: Arc<ScratchArena>) {
-        for shard in self.shards.iter().filter(|s| S::is_whole(s)) {
+        for shard in &self.shards {
             lock(&shard.device).set_arena(Arc::clone(&arena));
         }
         self.arena = arena;
     }
 
-    /// Allocation/reuse counters of the engine arena plus every shard
-    /// member's own arena (a whole-operand member shares the engine's, so
-    /// it counts once).
+    /// Allocation/reuse counters of the pipeline's one arena.
     pub fn scratch_stats(&self) -> ArenaStats {
-        let mut total = self.arena.stats();
-        for shard in self.shards.iter().filter(|s| !S::is_whole(s)) {
-            total.absorb(lock(&shard.device).scratch_stats());
-        }
-        total
+        self.arena.stats()
     }
 
     /// Number of shards (0 before a resident engine's first run).
@@ -933,7 +879,6 @@ impl<S: ShardSource> ShardedEngine<S> {
     ) -> Result<ShardedOutcome, AccelError> {
         check_shapes(a, b)?;
         self.bind(a)?;
-        let member_arena = self.source.member_arena();
         let pass = Pass {
             a,
             b,
@@ -941,18 +886,10 @@ impl<S: ShardSource> ShardedEngine<S> {
             arena: &self.arena,
             threads: self.config.threads,
         };
-        // Members were installed with their values mode, so `whole` is moot.
         let outcome = self
             .source
-            .execute(&self.shards, pass, &|engine, slice, b, _| {
-                let mut out = lock(engine).run(slice, b, label)?;
-                if let Some(pool) = member_arena {
-                    // The member's output is all-zeros (values-free); hand its
-                    // buffer straight back to the shared pool.
-                    let c = std::mem::replace(&mut out.c, DenseMatrix::zeros(0, 0));
-                    pool.recycle_f32(c.into_vec());
-                }
-                Ok(out)
+            .execute(&self.shards, pass, &|engine, slice, b| {
+                lock(engine).simulate(slice, b, label)
             })?;
         self.stream = outcome.stream;
         Ok(outcome)
@@ -1013,8 +950,8 @@ pub struct ShardedPlan<S: ShardSource = Resident> {
     config: AccelConfig,
     source: S,
     shards: Vec<Shard<S>>,
-    /// Scratch pool for the merged output and the merge's accumulators
-    /// (and the whole-operand member's pool), shared (`Arc`) with the
+    /// The pipeline's one scratch pool — the output, the accumulators and
+    /// every member plan's simulator scratch — shared (`Arc`) with the
     /// engine that froze the plan and across plan clones. Deliberately
     /// excluded from [`memory_bytes`](Self::memory_bytes): retention is
     /// transient scratch bounded by the worker count, observable via
@@ -1040,15 +977,6 @@ impl<S: ShardSource> ShardedPlan<S> {
     /// The frozen shards, in ascending column order.
     pub fn shards(&self) -> &[Shard<S>] {
         &self.shards
-    }
-
-    /// The sole member plan of a whole-operand plan (the single device);
-    /// `None` for a multi-shard cut.
-    pub(crate) fn whole_plan(&self) -> Option<&TunedPlan> {
-        match self.shards.as_slice() {
-            [shard] if S::is_whole(shard) => Some(&shard.device),
-            _ => None,
-        }
     }
 
     /// True when `a` is the operand this plan was cut for.
@@ -1077,19 +1005,14 @@ impl<S: ShardSource> ShardedPlan<S> {
         self.sum_plans(TunedPlan::replay_misses)
     }
 
-    /// Allocation/reuse counters of the plan arena plus every shard's
-    /// per-plan arena (a whole-operand member shares the plan's, so it
-    /// counts once). `created` stable across warm requests ⇔ serving is
-    /// allocation-free in steady state.
+    /// Allocation/reuse counters of the pipeline's one arena. `created`
+    /// stable across warm requests ⇔ serving is allocation-free in steady
+    /// state.
     pub fn scratch_stats(&self) -> ArenaStats {
-        let mut total = self.arena.stats();
-        for shard in self.shards.iter().filter(|s| !S::is_whole(s)) {
-            total.absorb(shard.device.scratch_stats());
-        }
-        total
+        self.arena.stats()
     }
 
-    /// The merge-phase arena (crate-internal: `GcnPlan` unifies its layer
+    /// The pipeline's arena (crate-internal: `GcnPlan` unifies its layer
     /// scratch with it).
     pub(crate) fn arena(&self) -> &Arc<ScratchArena> {
         &self.arena
@@ -1123,6 +1046,17 @@ impl<S: ShardSource> ShardedPlan<S> {
         ShardedSession {
             trusted: true,
             ..self.session()
+        }
+    }
+}
+
+impl ShardedPlan {
+    /// The sole member plan of a whole-operand plan (the single device);
+    /// `None` for a multi-shard cut.
+    pub(crate) fn whole_plan(&self) -> Option<&TunedPlan> {
+        match self.shards.as_slice() {
+            [shard] if shard.slice.is_none() => Some(&shard.device),
+            _ => None,
         }
     }
 }
@@ -1194,22 +1128,12 @@ impl<'p, S: ShardSource> ShardedSession<'p, S> {
         plan.source.execute(
             &plan.shards,
             pass,
-            &|shard_plan: &TunedPlan, slice, b_slice, whole| {
+            &|shard_plan: &TunedPlan, slice, b_slice| {
                 // Trusted: the slice is the one the shard plan was frozen
-                // from. Timing-only unless whole: a multi-shard cut's
-                // numerics come from the source's pinned-order merge.
+                // from.
                 let mut session = shard_plan.session_trusted();
-                session.set_values_enabled(whole);
                 session.set_threads(threads);
-                let mut out = session.run(slice, b_slice, label)?;
-                if !whole {
-                    // The member output is discarded by the merge — hand
-                    // its buffer back to the shard plan's arena so warm
-                    // sharded serving stays allocation-free.
-                    let c = std::mem::replace(&mut out.c, DenseMatrix::zeros(0, 0));
-                    shard_plan.recycle_output(c);
-                }
-                Ok(out)
+                session.simulate(slice, b_slice, label)
             },
         )
     }
@@ -1446,8 +1370,9 @@ mod tests {
         assert_eq!(merged2.total_tasks(), 8 + 12);
     }
 
-    /// Shard members execute values-free; their timing must be exactly
-    /// what a values-carrying engine reports on the same shard inputs.
+    /// Shard members run only the timing pass; their stats must be exactly
+    /// what a full `run` of a fresh engine reports on the same shard
+    /// inputs.
     #[test]
     fn values_free_members_match_values_carrying_timing() {
         let a = skewed(96, 60);
@@ -1653,6 +1578,31 @@ mod tests {
                 StreamingEngine::open(config(4, 1), &dir, 1 << 20),
                 Err(AccelError::InvalidInput(_))
             ));
+        }
+
+        /// Every member, tuning-live or frozen, draws from the pipeline's
+        /// one pool, so the engine's and the plan's `scratch_stats` are
+        /// that pool's figures, counted once however many shards there are.
+        #[test]
+        fn scratch_stats_count_the_one_shared_pool_once() {
+            let a = skewed(96);
+            let b = dense(96, 8);
+            let (dir, _store, mut streaming) = streamed("pool", &a, a.heap_bytes() / 3);
+            streaming.run(&a, &b, "warmup").unwrap();
+            let plan = streaming.freeze_plan(&a).unwrap();
+            plan.session().run(&a, &b, "req").unwrap();
+            assert!(plan.shard_count() > 1, "budget must force sharding");
+            let pool = plan.arena().stats();
+            assert!(pool.created > 0);
+            assert_eq!(plan.scratch_stats(), pool);
+            assert_eq!(streaming.scratch_stats(), pool);
+            for shard in plan.shards() {
+                assert_eq!(shard.device.scratch_stats(), pool);
+            }
+            for shard in &streaming.shards {
+                assert_eq!(lock(&shard.device).scratch_stats(), pool);
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
 
         #[test]

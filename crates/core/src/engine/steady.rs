@@ -1,14 +1,19 @@
 //! Shared steady-state round machinery: the queue-dynamics round model,
-//! the replay cache, and the frozen-map round executor.
+//! the replay cache, the frozen-map timing executor, and the one numerics
+//! kernel.
 //!
 //! Everything here is the *per-round* half of the fast engine, factored
 //! out so that two callers can share it byte-for-byte:
 //!
 //! * [`FastEngine`](super::FastEngine) — after its auto-tuner freezes, it
-//!   executes the remaining rounds through [`execute_steady`],
+//!   simulates the remaining rounds through [`execute_steady`],
 //! * [`SpmmSession`](super::SpmmSession) — a per-request executor over a
 //!   shared [`TunedPlan`](super::TunedPlan), where *every* round is
 //!   steady-state.
+//!
+//! Rounds are timing only: rebalancing decides which PE runs a MAC, never
+//! what it computes, so no round touches a value. Each SPMM's product is
+//! computed once, by [`compute_columns`], whoever simulated its timing.
 //!
 //! [`ReplayCache`] is interior-mutable (`RwLock` + atomic counters) so a
 //! plan can be shared (`&TunedPlan`) across concurrently executing
@@ -24,7 +29,7 @@ use crate::engine::arena::ScratchArena;
 use crate::exec;
 use crate::rebalance::local::LocalSharing;
 use crate::stats::RoundStats;
-use awb_sparse::spmm::{csc_accumulate_block, csc_axpy_column, drain_block_into, ACC_BLOCK_LANES};
+use awb_sparse::spmm::{csc_accumulate_block, drain_block_into, ACC_BLOCK_LANES};
 use awb_sparse::{Csc, DenseMatrix};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,7 +119,7 @@ impl MemoryParams {
 /// Simulates the queue dynamics of one round: the tasks of sparse columns
 /// `pattern` (ascending, the non-zero `b(j, k)` positions) streamed in CSC
 /// order against the given frozen-or-current row map. Timing only — the
-/// numerics are handled by the column-accumulate kernel.
+/// numerics are [`compute_columns`]'s.
 pub(crate) fn simulate_round(
     a: &Csc,
     pattern: &[u32],
@@ -221,24 +226,9 @@ pub(crate) fn simulate_round(
     }
 }
 
-/// Collects the non-zero pattern (ascending positions) and values of
-/// `b[:, k]` — one "round" worth of dense-operand input.
-pub(crate) fn column_pattern(b: &DenseMatrix, k: usize) -> (Vec<u32>, Vec<f32>) {
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
-    for j in 0..b.rows() {
-        let bjk = b.get(j, k);
-        if bjk != 0.0 {
-            cols.push(j as u32);
-            vals.push(bjk);
-        }
-    }
-    (cols, vals)
-}
-
-/// The non-zero positions of `b[:, k]` alone — the pattern half of
-/// [`column_pattern`], for timing-only execution which never reads the
-/// values (timing is a pure function of the pattern).
+/// The non-zero positions of `b[:, k]` (ascending) — one round's worth of
+/// dense-operand input to the timing model, which never reads the values
+/// (timing is a pure function of the pattern).
 pub(crate) fn column_pattern_cols(b: &DenseMatrix, k: usize) -> Vec<u32> {
     (0..b.rows())
         .filter(|&j| b.get(j, k) != 0.0)
@@ -246,67 +236,51 @@ pub(crate) fn column_pattern_cols(b: &DenseMatrix, k: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Accumulates one round's numerics into `acc` (same f32 addition order as
-/// the pre-replay per-task loop: `j` ascending, CSC index order).
-pub(crate) fn accumulate_round(a: &Csc, cols: &[u32], vals: &[f32], acc: &mut [f32]) {
-    for (&j, &bjk) in cols.iter().zip(vals) {
-        csc_axpy_column(a, j as usize, bjk, acc);
-    }
-}
-
-/// Writes the non-zero entries of a column accumulator into `c[:, k]`,
-/// resetting the accumulator for reuse. Delegates to the shared sparse
-/// kernel so the engine's emit/reset semantics (unconditional reset — a
-/// `-0.0` cancellation residue must not leak across round-columns) can
-/// never drift from the reference kernels'.
-pub(crate) fn emit_column(c: &mut DenseMatrix, k: usize, acc: &mut [f32]) {
-    awb_sparse::spmm::drain_column_into(c, k, acc);
-}
-
-/// The `(k0, width)` column blocks covering `start..end` in
-/// [`ACC_BLOCK_LANES`]-wide steps (narrower final block for ranges not
+/// The `(k0, width)` column blocks covering `0..cols` in
+/// [`ACC_BLOCK_LANES`]-wide steps (narrower final block for widths not
 /// divisible by the lane count).
-pub(crate) fn block_spans(start: usize, end: usize) -> Vec<(usize, usize)> {
+pub(crate) fn block_spans(cols: usize) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
-    let mut k0 = start;
-    while k0 < end {
-        let width = ACC_BLOCK_LANES.min(end - k0);
+    let mut k0 = 0;
+    while k0 < cols {
+        let width = ACC_BLOCK_LANES.min(cols - k0);
         spans.push((k0, width));
         k0 += width;
     }
     spans
 }
 
-/// Computes every output column of `C = A × B` through the shared
-/// blocked-accumulate kernel, fanning column *blocks* out on the [`exec`]
-/// substrate with per-worker scratch checked out of `arena`. This is
-/// exactly the numerics half of [`execute_steady`] (the blocked kernel's
-/// pinned reduction order keeps it bit-identical to the per-column scalar
-/// path — see `csc_accumulate_block`), exposed so the sharded executor
-/// can pin its merged output bit-identical to the unsharded engines while
-/// simulating timing per shard.
+/// Computes `C = A × B` — the numerics of one whole SPMM, and the only
+/// place the timing engines' products come from. Column *blocks* fan out
+/// on the [`exec`] substrate through the shared blocked-accumulate kernel,
+/// whose pinned ascending-`j` reduction order keeps the result
+/// bit-identical to the per-column scalar reference
+/// (`csc_accumulate_block`). The output and the per-worker accumulators
+/// are drawn from `arena`.
 pub(crate) fn compute_columns(
     a: &Csc,
     b: &DenseMatrix,
     threads: usize,
     arena: &ScratchArena,
-    c: &mut DenseMatrix,
-) {
+) -> DenseMatrix {
     let n_rows = a.rows();
-    let blocks = block_spans(0, b.cols());
+    let mut c = DenseMatrix::from_vec(n_rows, b.cols(), arena.take_f32(n_rows * b.cols()))
+        .expect("arena buffer sized to the output matrix");
+    let blocks = block_spans(b.cols());
     let accs = exec::par_map_threads(threads, &blocks, |&(k0, width)| {
         let mut acc = arena.checkout_f32(n_rows * width);
         csc_accumulate_block(a, b, k0, width, &mut acc);
         acc
     });
     for (&(k0, width), mut acc) in blocks.iter().zip(accs) {
-        drain_block_into(c, k0, width, &mut acc);
+        drain_block_into(&mut c, k0, width, &mut acc);
     }
+    c
 }
 
 /// FNV-1a over the operand's sparsity structure (shape, column pointers,
 /// row indices). Values are excluded on purpose: timing never depends on
-/// them, only the numerics — which are recomputed every round.
+/// them, only the numerics — which are recomputed every run.
 pub(crate) fn structure_fingerprint(a: &Csc) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
@@ -443,25 +417,17 @@ pub(crate) struct SteadySpan<'a> {
     pub threads: usize,
     /// `None` disables replay (straight simulation of every round).
     pub cache: Option<&'a ReplayCache>,
-    /// Scratch pool for accumulator/simulator buffers (the plan's arena,
-    /// or the engine's own for cold runs).
+    /// Scratch pool for the simulator buffers (the pipeline's arena).
     pub arena: &'a ScratchArena,
-    /// When `false`, the numerics half is skipped entirely (timing-only
-    /// execution): no accumulate fan-out, no column writes — `c` is left
-    /// untouched. Timing is a pure function of the non-zero *pattern*, so
-    /// every statistic is bit-identical either way. Used by shard-member
-    /// engines whose partial numerics the pinned merge would discard.
-    pub compute_values: bool,
 }
 
-/// Executes columns `start..b.cols()` under a frozen row map: repeated
-/// patterns replay from the cache, fresh work fans out on the
-/// [`exec`] substrate, and each round's output column is accumulated
-/// through the tight slice kernel. Appends to `rounds`, merges per-PE
-/// queue high-water marks, and writes output columns of `c`.
+/// Simulates the timing of columns `start..b.cols()` under a frozen row
+/// map: repeated patterns replay from the cache and fresh patterns are
+/// simulated in parallel on the [`exec`] substrate. Appends to `rounds`
+/// and merges per-PE queue high-water marks. Timing only — the product is
+/// [`compute_columns`]'s.
 pub(crate) fn execute_steady(
     span: SteadySpan<'_>,
-    c: &mut DenseMatrix,
     rounds: &mut Vec<RoundStats>,
     queue_high_water: &mut [u32],
 ) {
@@ -469,9 +435,6 @@ pub(crate) fn execute_steady(
     if span.start >= b.cols() {
         return;
     }
-    let n_rows = span.a.rows();
-    // The timing rounds need only the non-zero *patterns*; the numerics
-    // below read the values straight out of `b` per block.
     let patterns: Vec<Vec<u32>> = (span.start..b.cols())
         .map(|k| column_pattern_cols(b, k))
         .collect();
@@ -534,22 +497,6 @@ pub(crate) fn execute_steady(
         }),
     };
 
-    // Numerics: B-columns in ACC_BLOCK_LANES-wide blocks, one worker per
-    // block accumulating into arena scratch (skipped wholesale in
-    // timing-only mode — see `SteadySpan::compute_values`). The blocked
-    // kernel's pinned reduction order keeps the output bit-identical to
-    // the per-column scalar path (see `csc_accumulate_block`).
-    let blocks = block_spans(span.start, b.cols());
-    let block_accs = if span.compute_values {
-        exec::par_map_threads(span.threads, &blocks, |&(k0, width)| {
-            let mut acc = span.arena.checkout_f32(n_rows * width);
-            csc_accumulate_block(span.a, b, k0, width, &mut acc);
-            acc
-        })
-    } else {
-        Vec::new()
-    };
-
     for (i, timing) in timings.iter().enumerate() {
         let k = span.start + i;
         // TQ sizing (the area model's input) uses steady-state rounds
@@ -568,9 +515,6 @@ pub(crate) fn execute_steady(
             0
         };
         rounds.push(timing.to_stats(timing.cycles + fill, false));
-    }
-    for (&(k0, width), mut acc) in blocks.iter().zip(block_accs) {
-        drain_block_into(c, k0, width, &mut acc);
     }
 }
 

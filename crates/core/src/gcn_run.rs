@@ -614,11 +614,11 @@ impl GcnPlan {
             + with_a_plan!(&self.a_plan, |plan| plan.memory_bytes())
     }
 
-    /// Allocation/reuse counters over every scratch pool the plan owns:
-    /// the `A`-side plan's own pool — which also serves the per-layer
-    /// `X × W` engines (see [`run`](GcnPlan::run)) and a whole-operand
-    /// member — plus each multi-shard member's pool. `created` stable across warm requests ⇔
-    /// steady-state inference is allocation-free on the accumulate path.
+    /// Allocation/reuse counters of the plan's one scratch pool: the
+    /// `A`-side pipeline's arena, which serves its every shard member and
+    /// also the per-layer `X × W` engines (see [`run`](GcnPlan::run)).
+    /// `created` stable across warm requests ⇔ steady-state inference is
+    /// allocation-free on the accumulate path.
     pub fn scratch_stats(&self) -> ArenaStats {
         with_a_plan!(&self.a_plan, |plan| plan.scratch_stats())
     }

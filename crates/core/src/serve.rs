@@ -415,6 +415,12 @@ fn check_request(plan: &GcnPlan, x1: &Csr) -> Result<(), AccelError> {
     check_csr("request x1", x1)
 }
 
+/// [`check_request`] over a whole batch, rejecting it at the first bad
+/// request.
+fn check_requests(plan: &GcnPlan, requests: &[Csr]) -> Result<(), AccelError> {
+    requests.iter().try_for_each(|x1| check_request(plan, x1))
+}
+
 /// Admission-time ingest validation: rejects graphs, features, and
 /// weights carrying NaN/±inf values, out-of-bounds indices, or dimension
 /// mismatches with [`AccelError::InvalidInput`] — *before* they can enter
@@ -868,9 +874,6 @@ impl GcnService {
     ) -> Result<BatchOutcome, AccelError> {
         validate_ingest(input)?;
         let plan = self.lookup_or_prepare(input)?;
-        for x1 in requests {
-            check_request(&plan, x1)?;
-        }
         serve_on_plan(&plan, requests)
     }
 
@@ -1036,9 +1039,7 @@ impl GcnService {
         requests: &[Csr],
     ) -> Result<IsolatedBatch, AccelError> {
         let plan = self.named_plan(graph)?;
-        for x1 in requests {
-            check_request(plan, x1)?;
-        }
+        check_requests(plan, requests)?;
         Ok(serve_on_plan_isolated(
             plan,
             requests,
@@ -1057,11 +1058,12 @@ impl GcnService {
     }
 }
 
-/// The shared batch executor: fans `requests` out over the [`exec`]
-/// substrate against one plan, recording per-request queue-wait (batch
-/// start → worker pickup) and execute wall-clock. Fail-fast collapse of
-/// [`serve_on_plan_isolated`].
+/// The shared batch executor: validates every request against the plan,
+/// then fans `requests` out over the [`exec`] substrate, recording
+/// per-request queue-wait (batch start → worker pickup) and execute
+/// wall-clock. Fail-fast collapse of [`serve_on_plan_isolated`].
 fn serve_on_plan(plan: &GcnPlan, requests: &[Csr]) -> Result<BatchOutcome, AccelError> {
+    check_requests(plan, requests)?;
     serve_on_plan_isolated(plan, requests, None).into_batch()
 }
 
@@ -1157,6 +1159,26 @@ mod tests {
         let (service, input) = service_and_input(96, 22, 8);
         let err = service.serve("nope", std::slice::from_ref(&input.x1));
         assert!(matches!(err, Err(AccelError::InvalidConfig(_))));
+    }
+
+    /// `serve` validates its requests like every other serve path: a NaN
+    /// feature is a typed rejection of the batch, never a silent-NaN
+    /// output.
+    #[test]
+    fn serve_rejects_invalid_requests_like_serve_isolated() {
+        let (mut service, input) = service_and_input(96, 24, 8);
+        service.prepare("g", &input).unwrap();
+        let mut bad = awb_sparse::Coo::new(input.x1.rows(), input.x1.cols());
+        bad.push(0, 0, f32::NAN).unwrap();
+        let requests = [input.x1.clone(), bad.to_csr()];
+        assert!(matches!(
+            service.serve_isolated("g", &requests),
+            Err(AccelError::InvalidInput(_))
+        ));
+        assert!(matches!(
+            service.serve("g", &requests),
+            Err(AccelError::InvalidInput(_))
+        ));
     }
 
     #[test]

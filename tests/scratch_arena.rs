@@ -54,10 +54,9 @@ fn warm_plan_requests_allocate_nothing() {
     }
 }
 
-/// Same assertion across the sharded plan path: member sessions run
-/// values-free (their accumulator checkouts are zero-length and free),
-/// member outputs recycle into the shard plans' pools, and the merge
-/// arena serves the pinned global-order kernel.
+/// Same assertion across the sharded plan path: member sessions simulate
+/// timing only, drawing their simulator scratch from the pipeline's one
+/// pool, which also serves the pinned global-order kernel.
 #[test]
 fn warm_sharded_plan_requests_allocate_nothing() {
     let input = input(192, 22);
