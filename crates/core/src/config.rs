@@ -90,8 +90,8 @@ pub enum StrategyPolicy {
     /// At [`GcnRunner::prepare`](crate::GcnRunner::prepare), profile the
     /// input's sparsity structure, score the candidate configurations with
     /// the calibrated cost model, and execute the predicted-fastest one.
-    /// The design/shard/replay fields on the configuration then serve only
-    /// as the scoring base; the resolved choice is recorded in
+    /// The design/shard fields on the configuration then serve only as
+    /// the scoring base; the resolved choice is recorded in
     /// [`AutoDecision`](crate::cost::AutoDecision) and outputs stay
     /// bit-identical to hand-specifying the same knobs under `Manual`.
     Auto,

@@ -2,10 +2,10 @@
 //!
 //! The paper's thesis is that workload structure, measured at run time,
 //! should drive execution strategy. This module closes that loop one level
-//! up from the rebalancer: instead of hand-picking the design point, shard
-//! counts, and replay flag per run, [`select`] scores every candidate
-//! configuration against the input's sparsity profile and freezes the
-//! predicted-fastest one into the plan that `GcnRunner::prepare` builds.
+//! up from the rebalancer: instead of hand-picking the design point and
+//! shard counts per run, [`select`] scores every candidate configuration
+//! against the input's sparsity profile and freezes the predicted-fastest
+//! one into the plan that `GcnRunner::prepare` builds.
 //!
 //! The model has two independent parts:
 //!
@@ -23,9 +23,10 @@
 //!   fits one device is never split across phantom devices for a free
 //!   predicted speedup.
 //! * **A host calibration** (measured once per process). A handful of
-//!   timed [`csc_times_dense_blocked`] probe calls yield `secs_per_mac`,
-//!   which converts the candidate's MAC volume (discounted under replay,
-//!   whose cache skips re-simulating repeated column patterns) into a
+//!   timed [`csc_times_dense_blocked`](spmm::csc_times_dense_blocked)
+//!   probe calls yield `secs_per_mac`, which converts the candidate's MAC
+//!   volume (discounted when the configuration enables replay, whose cache
+//!   skips re-simulating repeated column patterns) into a
 //!   predicted wall time — the tie-breaker among candidates with equal
 //!   predicted cycles, and the "predicted" half of the
 //!   predicted-vs-measured line in `PrepareReport`.
@@ -65,7 +66,8 @@ const REPLAY_MISS_FACTOR: f64 = 0.1;
 const CYCLE_TIE_EPS: f64 = 1e-6;
 
 /// The host calibration: measured cost of one MAC on this machine's warm
-/// kernel path, from a few timed [`csc_times_dense_blocked`] probe runs.
+/// kernel path, from a few timed
+/// [`csc_times_dense_blocked`](spmm::csc_times_dense_blocked) probe runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Seconds per multiply-accumulate on the blocked kernel (best of the
@@ -78,7 +80,7 @@ pub struct Calibration {
     /// Measured sequential read bandwidth of the host's temp filesystem
     /// in bytes/second (best of a few timed 1 MiB re-reads — warm-cache,
     /// so an optimistic bound, which is all the warn-only I/O term
-    /// needs). Falls back to [`FALLBACK_READ_BW`] when probing fails.
+    /// needs). Falls back to 2 GB/s when probing fails.
     pub read_bytes_per_s: f64,
 }
 
@@ -104,7 +106,8 @@ fn probe_read_bandwidth() -> Option<f64> {
 }
 
 /// Runs (once per process) and returns the host micro-probe: a small
-/// deterministic synthetic operand through [`csc_times_dense_blocked`],
+/// deterministic synthetic operand through
+/// [`csc_times_dense_blocked`](spmm::csc_times_dense_blocked),
 /// timed over a few repetitions. Cached in a `OnceLock`, so every prepare
 /// after the first reads it for free.
 pub fn host_calibration() -> &'static Calibration {
@@ -258,12 +261,11 @@ pub struct AutoDecision {
     /// Winning combination-side shard policy (`MemoryBudget` when some
     /// layer's feature matrix overflows on-chip memory, else `Single`).
     pub combination_shards: ShardPolicy,
-    /// Whether the steady-state replay cache is enabled.
-    pub replay: bool,
     /// Predicted end-to-end warm-path cycles for the winner.
     pub predicted_cycles: f64,
     /// Predicted host wall seconds for one warm request (MAC volume times
-    /// the host calibration, replay-discounted).
+    /// the host calibration, discounted when the base configuration
+    /// enables replay).
     pub predicted_wall_s: f64,
     /// Per-layer cycle/MAC forecast for the winner.
     pub layers: Vec<LayerForecast>,
@@ -281,19 +283,18 @@ pub struct AutoDecision {
 
 impl AutoDecision {
     /// One-line human label of the chosen configuration, e.g.
-    /// `"LS2+RS | A unsharded | X unsharded | replay on"`.
+    /// `"LS2+RS | A unsharded | X unsharded"`.
     pub fn label(&self) -> String {
         format!(
-            "{} | A {} | X {} | replay {}",
+            "{} | A {} | X {}",
             self.design.label(),
             self.shards.label(),
             self.combination_shards.label(),
-            if self.replay { "on" } else { "off" }
         )
     }
 
     /// The concrete configuration the decision resolves to: `base` with
-    /// the winning design/shards/replay applied and the strategy set back
+    /// the winning design and shards applied and the strategy set back
     /// to [`StrategyPolicy::Manual`] — running it hand-specified is
     /// bit-identical to the Auto run (and re-preparing it never
     /// re-resolves).
@@ -301,7 +302,6 @@ impl AutoDecision {
         let mut config = self.design.apply(base.clone());
         config.shards = self.shards;
         config.combination_shards = self.combination_shards;
-        config.replay = self.replay;
         config.strategy = StrategyPolicy::Manual;
         config
     }
@@ -612,46 +612,43 @@ fn select_constrained(
         let (_, remote) = design_knobs(design);
         for &a_shards in &a_shard_options {
             for &x_policy in &x_options {
-                for replay in [true, false] {
-                    let (cycles, wall_s, layers) = score_candidate(
-                        config,
-                        profile,
-                        eff_a,
-                        eff_x1,
-                        a_shards,
-                        x_policy,
-                        replay,
-                        remote,
-                        secs_per_mac,
-                    );
-                    candidates_scored += 1;
-                    let wins = match &best {
-                        None => true,
-                        Some(b) => {
-                            let tie = (cycles - b.predicted_cycles).abs()
-                                <= CYCLE_TIE_EPS * b.predicted_cycles.max(1.0);
-                            (cycles < b.predicted_cycles && !tie)
-                                || (tie && wall_s < b.predicted_wall_s)
-                        }
-                    };
-                    if wins {
-                        best = Some(AutoDecision {
-                            design,
-                            shards: if a_shards == 1 {
-                                ShardPolicy::Single
-                            } else {
-                                ShardPolicy::Fixed(a_shards)
-                            },
-                            combination_shards: x_policy,
-                            replay,
-                            predicted_cycles: cycles,
-                            predicted_wall_s: wall_s,
-                            layers,
-                            candidates_scored: 0,
-                            rescored_unsharded: false,
-                            io: None,
-                        });
+                let (cycles, wall_s, layers) = score_candidate(
+                    config,
+                    profile,
+                    eff_a,
+                    eff_x1,
+                    a_shards,
+                    x_policy,
+                    config.replay,
+                    remote,
+                    secs_per_mac,
+                );
+                candidates_scored += 1;
+                let wins = match &best {
+                    None => true,
+                    Some(b) => {
+                        let tie = (cycles - b.predicted_cycles).abs()
+                            <= CYCLE_TIE_EPS * b.predicted_cycles.max(1.0);
+                        (cycles < b.predicted_cycles && !tie)
+                            || (tie && wall_s < b.predicted_wall_s)
                     }
+                };
+                if wins {
+                    best = Some(AutoDecision {
+                        design,
+                        shards: if a_shards == 1 {
+                            ShardPolicy::Single
+                        } else {
+                            ShardPolicy::Fixed(a_shards)
+                        },
+                        combination_shards: x_policy,
+                        predicted_cycles: cycles,
+                        predicted_wall_s: wall_s,
+                        layers,
+                        candidates_scored: 0,
+                        rescored_unsharded: false,
+                        io: None,
+                    });
                 }
             }
         }
@@ -728,7 +725,6 @@ mod tests {
             streamed_decision.combination_shards,
             resident_decision.combination_shards
         );
-        assert_eq!(streamed_decision.replay, resident_decision.replay);
         assert_eq!(
             streamed_decision.predicted_cycles,
             resident_decision.predicted_cycles
@@ -779,12 +775,12 @@ mod tests {
         );
         assert!(decision.predicted_cycles > 0.0);
         assert!(decision.predicted_wall_s > 0.0);
-        assert!(decision.candidates_scored >= 10);
+        // Five paper designs × one shard count × one combination policy.
+        assert_eq!(decision.candidates_scored, 5);
         assert_eq!(decision.layers.len(), 2);
         // Fits on chip: no phantom shard devices.
         assert_eq!(decision.shards, ShardPolicy::Single);
         assert_eq!(decision.combination_shards, ShardPolicy::Single);
-        assert!(decision.replay, "replay never hurts predicted wall");
     }
 
     #[test]
@@ -824,7 +820,7 @@ mod tests {
         assert_eq!(resolved.strategy, StrategyPolicy::Manual);
         assert_eq!(resolved.shards, decision.shards);
         assert_eq!(resolved.combination_shards, decision.combination_shards);
-        assert_eq!(resolved.replay, decision.replay);
+        assert_eq!(resolved.replay, base.replay);
         let (hop, remote) = design_knobs(decision.design);
         assert_eq!(resolved.local_hop, hop);
         assert_eq!(resolved.remote_switching, remote);
@@ -836,7 +832,10 @@ mod tests {
         let config = AccelConfig::builder().n_pes(32).build().unwrap();
         let d = select(&config, &profile);
         let mut other = d.clone();
-        other.replay = !other.replay;
+        other.combination_shards = match other.combination_shards {
+            ShardPolicy::Single => ShardPolicy::MemoryBudget,
+            _ => ShardPolicy::Single,
+        };
         assert_ne!(d.choice_hash(), other.choice_hash());
         assert_eq!(d.choice_hash(), select(&config, &profile).choice_hash());
     }

@@ -186,11 +186,6 @@ impl TunedPlan {
         self.cache.misses()
     }
 
-    /// Distinct memoized patterns currently held.
-    pub fn cached_patterns(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Allocation/reuse counters of the plan's scratch arena (shared by
     /// every session on this plan).
     pub fn scratch_stats(&self) -> ArenaStats {

@@ -427,7 +427,6 @@ impl ShardSource for Resident {
 #[derive(Debug, Clone)]
 pub struct Stored {
     store: Arc<SparseStore>,
-    host_budget: usize,
 }
 
 /// Plans chunk-aligned shards for `store` so that two consecutive shard
@@ -769,24 +768,8 @@ impl ShardedEngine<Stored> {
             ));
         }
         let cuts = plan_stream_shards(&store, host_budget);
-        let source = Stored { store, host_budget };
+        let source = Stored { store };
         Ok(ShardedEngine::from_source(config, source, cuts))
-    }
-
-    /// Opens the store at `dir` (full ingest validation) and builds a
-    /// streaming engine over it.
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::InvalidInput`] when the store is missing or corrupt;
-    /// [`AccelError::InvalidConfig`] if `host_budget == 0`.
-    pub fn open(
-        config: AccelConfig,
-        dir: impl AsRef<std::path::Path>,
-        host_budget: usize,
-    ) -> Result<Self, AccelError> {
-        let store = SparseStore::open(dir).map_err(store_err)?;
-        ShardedEngine::from_store(config, Arc::new(store), host_budget)
     }
 }
 
@@ -1065,11 +1048,6 @@ impl ShardedPlan<Stored> {
     /// The backing store.
     pub fn store(&self) -> &SparseStore {
         &self.source.store
-    }
-
-    /// The host-memory budget in bytes the shard plan was sized for.
-    pub fn host_budget(&self) -> usize {
-        self.source.host_budget
     }
 }
 
@@ -1569,15 +1547,6 @@ mod tests {
                 Err(AccelError::InvalidConfig(_))
             ));
             std::fs::remove_dir_all(&dir).unwrap();
-        }
-
-        #[test]
-        fn missing_store_is_invalid_input() {
-            let dir = temp_dir("absent");
-            assert!(matches!(
-                StreamingEngine::open(config(4, 1), &dir, 1 << 20),
-                Err(AccelError::InvalidInput(_))
-            ));
         }
 
         /// Every member, tuning-live or frozen, draws from the pipeline's

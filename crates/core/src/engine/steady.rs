@@ -384,6 +384,7 @@ impl ReplayCache {
     }
 
     /// Cached distinct patterns.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.read_timings().len()
     }

@@ -513,7 +513,7 @@ impl GcnPlan {
     }
 
     /// The cost model's resolution when the plan was prepared under
-    /// [`StrategyPolicy::Auto`]: the chosen design/shards/replay, the
+    /// [`StrategyPolicy::Auto`]: the chosen design and shards, the
     /// predicted cycles/wall, and the per-layer forecast. `None` for a
     /// `Manual` prepare. When [`degraded`](GcnPlan::degraded) is also set,
     /// the decision carries

@@ -270,8 +270,8 @@ impl BatchOutcome {
     }
 
     /// Average simulated PE utilization over all requests (weighted by
-    /// each request's busy/denominator, like [`RunStats::avg_utilization`]
-    /// (crate::RunStats::avg_utilization)).
+    /// each request's busy/denominator, like
+    /// [`RunStats::avg_utilization`](crate::RunStats::avg_utilization)).
     pub fn avg_utilization(&self) -> f64 {
         let (busy, denom) = self
             .requests

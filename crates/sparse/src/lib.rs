@@ -17,8 +17,8 @@
 //! * [`partition`] — nnz-balanced column sharding (plus zero-rebuild
 //!   `col_range`/`row_range` slicing on the formats) for graphs bigger
 //!   than one device.
-//! * [`store`] — chunked on-disk store (`by_column`/`by_row` mirrors with
-//!   a JSON manifest) so graphs bigger than host memory stream in bounded
+//! * [`store`] — chunked on-disk column store (`by_column` chunks with a
+//!   JSON manifest) so graphs bigger than host memory stream in bounded
 //!   column windows.
 //! * [`json`] — the small JSON reader behind the store manifest and the
 //!   bench record files.

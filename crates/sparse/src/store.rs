@@ -1,33 +1,30 @@
-//! Chunked on-disk sparse store with by-column and by-row mirrors.
+//! Chunked on-disk sparse store, column-oriented.
 //!
 //! For graphs bigger than host memory, the whole-matrix formats ([`Csc`] /
-//! [`Csr`]) stop being the unit of I/O: the out-of-core execution layer
-//! needs to materialize *one column shard at a time*, drop it after its
-//! rounds, and plan shard boundaries without ever loading values. This
-//! module stores a sparse matrix on disk in both orientations:
+//! [`Csr`](crate::Csr)) stop being the unit of I/O: the out-of-core
+//! execution layer needs to materialize *one column shard at a time*, drop
+//! it after its rounds, and plan shard boundaries without ever loading
+//! values. The SPMM engines consume `A` column by column, so this module
+//! stores a sparse matrix on disk in that one orientation:
 //!
 //! ```text
 //! store/
-//!   manifest.json            shape, nnz, per-chunk profiles (both axes)
+//!   manifest.json            shape, nnz, per-chunk profiles
 //!   by_column/
 //!     indptr.bin             full Col Ptr (u64 LE, cols + 1 entries)
 //!     data/chunk-00000.bin   values (f32 LE) of the chunk's columns
 //!     indices/chunk-00000.bin  row indices (u32 LE) of the chunk's columns
-//!   by_row/
-//!     indptr.bin             full Row Ptr of the CSR mirror
-//!     data/chunk-00000.bin   values of the chunk's rows
-//!     indices/chunk-00000.bin  column indices of the chunk's rows
 //! ```
 //!
-//! Chunks are **line-aligned**: each chunk covers a contiguous range of
-//! columns (rows for the `by_row` mirror) filled greedily to a target nnz
-//! count, so any `col_range` materializes by reading only the chunks it
-//! overlaps — never a partial-line seek. Every chunk file is a checksummed
-//! blob (byte-level run-length compression when it helps, raw otherwise),
-//! and the manifest records each chunk's line range, nnz, heaviest line,
-//! and on-disk payload size — enough for the partitioner to plan
-//! nnz-balanced cuts and for the cost model to forecast read traffic,
-//! all without touching `data/`.
+//! Chunks are **column-aligned**: each chunk covers a contiguous range of
+//! columns filled greedily to a target nnz count, so any `col_range`
+//! materializes by reading only the chunks it overlaps — never a
+//! partial-column seek. Every chunk file is a checksummed blob (byte-level
+//! run-length compression when it helps, raw otherwise), and the manifest
+//! records each chunk's column range, nnz, heaviest column, and on-disk
+//! payload size — enough for the partitioner to plan nnz-balanced cuts and
+//! for the cost model to forecast read traffic, all without touching
+//! `data/`.
 //!
 //! # Validation
 //!
@@ -35,7 +32,9 @@
 //! (peak memory: one decompressed chunk) and rejects truncated or corrupt
 //! chunk files, manifest/chunk nnz mismatches, out-of-bounds indices, and
 //! non-finite values with typed [`StoreError`]s — a bad store never panics
-//! mid-stream in the execution layer.
+//! mid-stream in the execution layer. A manifest of another format version
+//! (such as a version-1 store, which also carried a row-oriented mirror)
+//! is refused with [`StoreError::Manifest`].
 //!
 //! # Example
 //!
@@ -59,7 +58,7 @@
 //! ```
 
 use crate::json::Json;
-use crate::{Csc, Csr};
+use crate::Csc;
 use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
@@ -67,10 +66,15 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// On-disk format version written to (and required in) the manifest.
-pub const FORMAT_VERSION: u64 = 1;
+/// Version 1 stores also carried a row-oriented mirror; they are refused.
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Format tag written to the manifest.
 pub const FORMAT_NAME: &str = "awb-sparse-store";
+
+/// Subdirectory holding the column-oriented chunks (and the manifest key
+/// listing their profiles).
+const COLUMN_DIR: &str = "by_column";
 
 /// Default per-chunk nnz target: 64 Ki non-zeros ≈ 512 KiB of raw
 /// value+index payload per chunk — large enough to amortize per-file
@@ -144,42 +148,29 @@ impl std::error::Error for StoreError {}
 /// Convenience alias for store results.
 pub type StoreResult<T> = std::result::Result<T, StoreError>;
 
-/// Manifest profile of one chunk: the contiguous line (column or row)
-/// range it covers, its nnz count, its heaviest single line, and its
-/// on-disk payload size — everything a planner needs without reading
-/// `data/`.
+/// Manifest profile of one chunk: the contiguous column range it covers,
+/// its nnz count, its heaviest single column, and its on-disk payload
+/// size — everything a planner needs without reading `data/`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkProfile {
-    /// Half-open line range `lo..hi` (columns for `by_column`, rows for
-    /// `by_row`).
+    /// Half-open column range `lo..hi`.
     pub lines: Range<usize>,
     /// Non-zeros inside the range.
     pub nnz: usize,
-    /// Heaviest single line inside the range.
+    /// Heaviest single column inside the range.
     pub max_line_nnz: usize,
     /// Compressed bytes of the chunk's two payload files on disk.
     pub disk_bytes: u64,
 }
 
 impl ChunkProfile {
-    /// Heap bytes a [`Csc`]/[`Csr`] slice of exactly this chunk would
-    /// occupy resident: `u32` index + `f32` value per nnz, plus one
-    /// pointer-sized `indptr` entry per line.
+    /// Heap bytes a [`Csc`] slice of exactly this chunk would occupy
+    /// resident: `u32` index + `f32` value per nnz, plus one pointer-sized
+    /// `indptr` entry per column.
     pub fn resident_bytes(&self) -> usize {
         self.nnz * (std::mem::size_of::<u32>() + std::mem::size_of::<f32>())
             + (self.lines.len() + 1) * std::mem::size_of::<usize>()
     }
-}
-
-/// One orientation (`by_column` or `by_row`) of the store.
-#[derive(Debug, Clone)]
-struct Axis {
-    /// Subdirectory name (`by_column` / `by_row`).
-    name: &'static str,
-    /// Full line pointer (`cols + 1` / `rows + 1` entries), loaded at
-    /// open — the O(lines) half kept resident; values/indices stream.
-    ptr: Vec<usize>,
-    chunks: Vec<ChunkProfile>,
 }
 
 /// An opened (validated) chunked sparse store. See the module docs for
@@ -191,14 +182,16 @@ pub struct SparseStore {
     cols: usize,
     nnz: usize,
     chunk_target_nnz: usize,
-    by_column: Axis,
-    by_row: Axis,
+    /// Full `Col Ptr` (`cols + 1` entries), loaded at open — the O(cols)
+    /// half kept resident; values/indices stream.
+    col_ptr: Vec<usize>,
+    chunks: Vec<ChunkProfile>,
 }
 
 impl SparseStore {
-    /// Writes `a` (and its CSR mirror) to `dir` with the default chunk
-    /// target, then re-opens it — so every store returned by `write` has
-    /// passed the same validation pass as [`open`](SparseStore::open).
+    /// Writes `a` to `dir` with the default chunk target, then re-opens
+    /// it — so every store returned by `write` has passed the same
+    /// validation pass as [`open`](SparseStore::open).
     ///
     /// # Errors
     ///
@@ -209,9 +202,9 @@ impl SparseStore {
     }
 
     /// [`write`](SparseStore::write) with an explicit per-chunk nnz
-    /// target: each chunk greedily takes whole lines until it holds at
-    /// least `chunk_nnz` non-zeros (so a single line heavier than the
-    /// target still gets its own chunk — lines are the indivisible unit).
+    /// target: each chunk greedily takes whole columns until it holds at
+    /// least `chunk_nnz` non-zeros (so a single column heavier than the
+    /// target still gets its own chunk — columns are the indivisible unit).
     ///
     /// # Errors
     ///
@@ -236,29 +229,8 @@ impl SparseStore {
         }
         fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
 
-        let col_chunks = write_axis(
-            &dir.join("by_column"),
-            a.col_ptr(),
-            a.row_idx(),
-            a.values(),
-            chunk_nnz,
-        )?;
-        let csr = a.to_csr();
-        let row_chunks = write_axis(
-            &dir.join("by_row"),
-            csr.row_ptr(),
-            csr.col_idx(),
-            csr.values(),
-            chunk_nnz,
-        )?;
-
-        let manifest = render_manifest(
-            a.rows(),
-            a.cols(),
-            a.nnz(),
-            chunk_nnz,
-            &[("by_column", &col_chunks), ("by_row", &row_chunks)],
-        );
+        let chunks = write_columns(&dir.join(COLUMN_DIR), a, chunk_nnz)?;
+        let manifest = render_manifest(a.rows(), a.cols(), a.nnz(), chunk_nnz, &chunks);
         let manifest_path = dir.join("manifest.json");
         fs::write(&manifest_path, manifest).map_err(|e| io_err(&manifest_path, &e))?;
 
@@ -272,16 +244,17 @@ impl SparseStore {
     }
 
     /// Opens and fully validates the store at `dir`: parses the manifest,
-    /// loads both `indptr` arrays, and makes one streaming pass over every
+    /// loads the `indptr` array, and makes one streaming pass over every
     /// chunk (decompress, checksum, length vs manifest nnz, index bounds,
     /// value finiteness) with one chunk resident at a time.
     ///
     /// # Errors
     ///
     /// [`StoreError::Manifest`] for a missing/unparsable/inconsistent
-    /// manifest, [`StoreError::Corrupt`] for truncated or corrupt blobs,
-    /// nnz mismatches, out-of-bounds indices, or non-finite values, and
-    /// [`StoreError::Io`] for filesystem failures.
+    /// manifest or an unsupported format version, [`StoreError::Corrupt`]
+    /// for truncated or corrupt blobs, nnz mismatches, out-of-bounds
+    /// indices, or non-finite values, and [`StoreError::Io`] for
+    /// filesystem failures.
     pub fn open(dir: impl AsRef<Path>) -> StoreResult<SparseStore> {
         let dir = dir.as_ref().to_path_buf();
         let manifest_path = dir.join("manifest.json");
@@ -293,36 +266,15 @@ impl SparseStore {
             path: manifest_path.clone(),
             detail,
         })?;
-
-        let by_column = open_axis(
-            &dir,
-            "by_column",
-            "column",
-            parsed.cols,
-            parsed.rows,
-            parsed.nnz,
-            parsed.by_column,
-            &manifest_path,
-        )?;
-        let by_row = open_axis(
-            &dir,
-            "by_row",
-            "row",
-            parsed.rows,
-            parsed.cols,
-            parsed.nnz,
-            parsed.by_row,
-            &manifest_path,
-        )?;
-
+        let col_ptr = open_columns(&dir, &parsed, &manifest_path)?;
         Ok(SparseStore {
             dir,
             rows: parsed.rows,
             cols: parsed.cols,
             nnz: parsed.nnz,
             chunk_target_nnz: parsed.chunk_target_nnz,
-            by_column,
-            by_row,
+            col_ptr,
+            chunks: parsed.chunks,
         })
     }
 
@@ -351,25 +303,15 @@ impl SparseStore {
         self.chunk_target_nnz
     }
 
-    /// Per-chunk profiles of the `by_column` mirror, in ascending column
-    /// order (what the store-backed partitioner plans over).
+    /// Per-chunk profiles in ascending column order (what the
+    /// store-backed partitioner plans over).
     pub fn column_chunks(&self) -> &[ChunkProfile] {
-        &self.by_column.chunks
-    }
-
-    /// Per-chunk profiles of the `by_row` mirror, in ascending row order.
-    pub fn row_chunks(&self) -> &[ChunkProfile] {
-        &self.by_row.chunks
+        &self.chunks
     }
 
     /// The full resident `Col Ptr` (`cols + 1` entries).
     pub fn col_ptr(&self) -> &[usize] {
-        &self.by_column.ptr
-    }
-
-    /// The full resident `Row Ptr` of the CSR mirror (`rows + 1` entries).
-    pub fn row_ptr(&self) -> &[usize] {
-        &self.by_row.ptr
+        &self.col_ptr
     }
 
     /// Non-zeros inside a column range (O(1), from the resident pointer).
@@ -378,7 +320,7 @@ impl SparseStore {
     ///
     /// Panics if `range.end > cols` or the range is decreasing.
     pub fn range_nnz(&self, range: Range<usize>) -> usize {
-        self.by_column.ptr[range.end] - self.by_column.ptr[range.start]
+        self.col_ptr[range.end] - self.col_ptr[range.start]
     }
 
     /// Heap bytes a [`Csc`] slice of this column range occupies resident
@@ -390,15 +332,16 @@ impl SparseStore {
             + (range.len() + 1) * std::mem::size_of::<usize>()
     }
 
-    /// Total compressed payload bytes on disk (`by_column` mirror only —
-    /// what one full streaming pass reads). The cost model's I/O volume.
+    /// Total compressed payload bytes on disk (what one full streaming
+    /// pass reads). The cost model's I/O volume.
     pub fn column_disk_bytes(&self) -> u64 {
-        self.by_column.chunks.iter().map(|c| c.disk_bytes).sum()
+        self.chunks.iter().map(|c| c.disk_bytes).sum()
     }
 
     /// Materializes columns `lo..hi` as a [`Csc`] slice, bit-identical to
-    /// [`Csc::col_range`] on the originally written matrix, by reading
-    /// only the chunks the range overlaps.
+    /// [`Csc::col_range`] on the originally written matrix, by rebasing
+    /// the resident pointer and concatenating the overlapping slice of
+    /// each overlapping chunk, decompressing one chunk at a time.
     ///
     /// # Errors
     ///
@@ -406,70 +349,22 @@ impl SparseStore {
     /// [`StoreError::Io`]/[`StoreError::Corrupt`] if the underlying files
     /// fail or changed since [`open`](SparseStore::open).
     pub fn read_col_range(&self, range: Range<usize>) -> StoreResult<Csc> {
-        let (ptr, idx, vals) = self.read_axis_range(&self.by_column, range.clone(), "column")?;
-        Csc::from_parts(self.rows, range.len(), ptr, idx, vals).map_err(|e| StoreError::Corrupt {
-            path: self.dir.join("by_column"),
-            detail: format!("chunk data does not assemble into a valid CSC slice: {e}"),
-        })
-    }
-
-    /// Materializes rows `lo..hi` of the CSR mirror, bit-identical to
-    /// [`Csr::row_range`] on the originally written matrix.
-    ///
-    /// # Errors
-    ///
-    /// As [`read_col_range`](SparseStore::read_col_range).
-    pub fn read_row_range(&self, range: Range<usize>) -> StoreResult<Csr> {
-        let (ptr, idx, vals) = self.read_axis_range(&self.by_row, range.clone(), "row")?;
-        Csr::from_parts(range.len(), self.cols, ptr, idx, vals).map_err(|e| StoreError::Corrupt {
-            path: self.dir.join("by_row"),
-            detail: format!("chunk data does not assemble into a valid CSR slice: {e}"),
-        })
-    }
-
-    /// Reads the whole matrix back as a [`Csc`].
-    ///
-    /// # Errors
-    ///
-    /// As [`read_col_range`](SparseStore::read_col_range).
-    pub fn read_csc(&self) -> StoreResult<Csc> {
-        self.read_col_range(0..self.cols)
-    }
-
-    /// Reads the whole CSR mirror back.
-    ///
-    /// # Errors
-    ///
-    /// As [`read_row_range`](SparseStore::read_row_range).
-    pub fn read_csr(&self) -> StoreResult<Csr> {
-        self.read_row_range(0..self.rows)
-    }
-
-    /// Shared line-range reader over one axis: rebases the resident
-    /// pointer and concatenates the overlapping slice of each overlapping
-    /// chunk, decompressing one chunk at a time.
-    fn read_axis_range(
-        &self,
-        axis: &Axis,
-        range: Range<usize>,
-        what: &str,
-    ) -> StoreResult<(Vec<usize>, Vec<u32>, Vec<f32>)> {
-        let n_lines = axis.ptr.len() - 1;
-        if range.start > range.end || range.end > n_lines {
+        if range.start > range.end || range.end > self.cols {
             return Err(StoreError::InvalidInput(format!(
-                "{what} range {}..{} out of bounds for {} {what}s",
-                range.start, range.end, n_lines
+                "column range {}..{} out of bounds for {} columns",
+                range.start, range.end, self.cols
             )));
         }
-        let base = axis.ptr[range.start];
-        let ptr: Vec<usize> = axis.ptr[range.start..=range.end]
+        let base = self.col_ptr[range.start];
+        let ptr: Vec<usize> = self.col_ptr[range.start..=range.end]
             .iter()
             .map(|&p| p - base)
             .collect();
-        let total = axis.ptr[range.end] - base;
+        let total = self.col_ptr[range.end] - base;
         let mut idx: Vec<u32> = Vec::with_capacity(total);
         let mut vals: Vec<f32> = Vec::with_capacity(total);
-        for (k, chunk) in axis.chunks.iter().enumerate() {
+        let dir = self.dir.join(COLUMN_DIR);
+        for (k, chunk) in self.chunks.iter().enumerate() {
             if chunk.lines.end <= range.start {
                 continue;
             }
@@ -478,9 +373,8 @@ impl SparseStore {
             }
             let lo = range.start.max(chunk.lines.start);
             let hi = range.end.min(chunk.lines.end);
-            let chunk_base = axis.ptr[chunk.lines.start];
-            let span = (axis.ptr[lo] - chunk_base)..(axis.ptr[hi] - chunk_base);
-            let dir = self.dir.join(axis.name);
+            let chunk_base = self.col_ptr[chunk.lines.start];
+            let span = (self.col_ptr[lo] - chunk_base)..(self.col_ptr[hi] - chunk_base);
             let idx_path = dir.join("indices").join(chunk_file(k));
             let chunk_idx = bytes_to_u32(&read_blob(&idx_path)?, &idx_path)?;
             let val_path = dir.join("data").join(chunk_file(k));
@@ -499,7 +393,19 @@ impl SparseStore {
             idx.extend_from_slice(&chunk_idx[span.clone()]);
             vals.extend_from_slice(&chunk_vals[span]);
         }
-        Ok((ptr, idx, vals))
+        Csc::from_parts(self.rows, range.len(), ptr, idx, vals).map_err(|e| StoreError::Corrupt {
+            path: dir,
+            detail: format!("chunk data does not assemble into a valid CSC slice: {e}"),
+        })
+    }
+
+    /// Reads the whole matrix back as a [`Csc`].
+    ///
+    /// # Errors
+    ///
+    /// As [`read_col_range`](SparseStore::read_col_range).
+    pub fn read_csc(&self) -> StoreResult<Csc> {
+        self.read_col_range(0..self.cols)
     }
 }
 
@@ -515,8 +421,8 @@ fn io_err(path: &Path, e: &std::io::Error) -> StoreError {
     }
 }
 
-/// Greedy line-aligned chunking: each chunk takes whole lines until it
-/// holds at least `target` nnz (always at least one line).
+/// Greedy column-aligned chunking: each chunk takes whole columns until it
+/// holds at least `target` nnz (always at least one column).
 fn plan_chunks(ptr: &[usize], target: usize) -> Vec<Range<usize>> {
     let n = ptr.len() - 1;
     let mut out = Vec::new();
@@ -532,15 +438,10 @@ fn plan_chunks(ptr: &[usize], target: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Writes one orientation's `indptr.bin` plus its `data/` and `indices/`
-/// chunk files, returning the chunk profiles for the manifest.
-fn write_axis(
-    dir: &Path,
-    ptr: &[usize],
-    idx: &[u32],
-    vals: &[f32],
-    chunk_nnz: usize,
-) -> StoreResult<Vec<ChunkProfile>> {
+/// Writes `a`'s `indptr.bin` plus its `data/` and `indices/` chunk files
+/// under `dir`, returning the chunk profiles for the manifest.
+fn write_columns(dir: &Path, a: &Csc, chunk_nnz: usize) -> StoreResult<Vec<ChunkProfile>> {
+    let (ptr, idx, vals) = (a.col_ptr(), a.row_idx(), a.values());
     let data_dir = dir.join("data");
     let idx_dir = dir.join("indices");
     fs::create_dir_all(&data_dir).map_err(|e| io_err(&data_dir, &e))?;
@@ -577,73 +478,63 @@ fn write_axis(
     Ok(chunks)
 }
 
-/// Loads and validates one orientation at open time (see
+/// Validates the manifest's chunk list against the files under
+/// `dir/by_column` and returns the loaded `Col Ptr` (see
 /// [`SparseStore::open`] for the checks).
-#[allow(clippy::too_many_arguments)]
-fn open_axis(
+fn open_columns(
     dir: &Path,
-    name: &'static str,
-    line: &'static str,
-    n_lines: usize,
-    bound: usize,
-    nnz: usize,
-    chunks: Vec<ChunkProfile>,
+    parsed: &ParsedManifest,
     manifest_path: &Path,
-) -> StoreResult<Axis> {
-    let axis_dir = dir.join(name);
+) -> StoreResult<Vec<usize>> {
+    let col_dir = dir.join(COLUMN_DIR);
+    let (cols, rows, nnz, chunks) = (parsed.cols, parsed.rows, parsed.nnz, &parsed.chunks);
     let bad_manifest = |detail: String| StoreError::Manifest {
         path: manifest_path.to_path_buf(),
         detail,
     };
 
-    // Chunks must tile `0..n_lines` contiguously and conserve nnz.
-    if n_lines == 0 {
+    // Chunks must tile `0..cols` contiguously and conserve nnz.
+    if cols == 0 {
         if !chunks.is_empty() {
-            return Err(bad_manifest(format!("{name}: chunks on a 0-{line} matrix")));
+            return Err(bad_manifest("chunks on a 0-column matrix".into()));
         }
     } else {
         if chunks.first().map(|c| c.lines.start) != Some(0)
-            || chunks.last().map(|c| c.lines.end) != Some(n_lines)
+            || chunks.last().map(|c| c.lines.end) != Some(cols)
         {
-            return Err(bad_manifest(format!(
-                "{name}: chunks do not cover 0..{n_lines}"
-            )));
+            return Err(bad_manifest(format!("chunks do not cover 0..{cols}")));
         }
         for w in chunks.windows(2) {
             if w[0].lines.end != w[1].lines.start {
                 return Err(bad_manifest(format!(
-                    "{name}: gap or overlap between chunk ranges {:?} and {:?}",
+                    "gap or overlap between chunk ranges {:?} and {:?}",
                     w[0].lines, w[1].lines
                 )));
             }
         }
-        for c in &chunks {
+        for c in chunks {
             if c.lines.start >= c.lines.end {
-                return Err(bad_manifest(format!(
-                    "{name}: empty chunk range {:?}",
-                    c.lines
-                )));
+                return Err(bad_manifest(format!("empty chunk range {:?}", c.lines)));
             }
         }
     }
     let chunk_nnz_sum: usize = chunks.iter().map(|c| c.nnz).sum();
     if chunk_nnz_sum != nnz {
         return Err(bad_manifest(format!(
-            "{name}: chunk nnz sum {chunk_nnz_sum} != declared nnz {nnz}"
+            "chunk nnz sum {chunk_nnz_sum} != declared nnz {nnz}"
         )));
     }
 
     // The resident pointer.
-    let ptr_path = axis_dir.join("indptr.bin");
+    let ptr_path = col_dir.join("indptr.bin");
     let ptr_bytes = read_blob(&ptr_path)?;
-    if ptr_bytes.len() != (n_lines + 1) * 8 {
+    if ptr_bytes.len() != (cols + 1) * 8 {
         return Err(StoreError::Corrupt {
             path: ptr_path,
             detail: format!(
-                "indptr holds {} bytes, expected {} ({} {line}s + 1, u64 each)",
+                "indptr holds {} bytes, expected {} ({cols} columns + 1, u64 each)",
                 ptr_bytes.len(),
-                (n_lines + 1) * 8,
-                n_lines
+                (cols + 1) * 8,
             ),
         });
     }
@@ -651,12 +542,12 @@ fn open_axis(
         .chunks_exact(8)
         .map(|b| u64::from_le_bytes(b.try_into().expect("chunks_exact(8)")) as usize)
         .collect();
-    if ptr[0] != 0 || ptr[n_lines] != nnz || ptr.windows(2).any(|w| w[0] > w[1]) {
+    if ptr[0] != 0 || ptr[cols] != nnz || ptr.windows(2).any(|w| w[0] > w[1]) {
         return Err(StoreError::Corrupt {
             path: ptr_path,
             detail: format!(
                 "indptr is not a monotone prefix sum from 0 to {nnz} (starts {}, ends {})",
-                ptr[0], ptr[n_lines]
+                ptr[0], ptr[cols]
             ),
         });
     }
@@ -669,7 +560,7 @@ fn open_axis(
             return Err(StoreError::Corrupt {
                 path: ptr_path.clone(),
                 detail: format!(
-                    "chunk {k} ({line}s {:?}): manifest says {} nnz, indptr says {declared}",
+                    "chunk {k} (columns {:?}): manifest says {} nnz, indptr says {declared}",
                     chunk.lines, chunk.nnz
                 ),
             });
@@ -690,7 +581,7 @@ fn open_axis(
             });
         }
 
-        let idx_path = axis_dir.join("indices").join(chunk_file(k));
+        let idx_path = col_dir.join("indices").join(chunk_file(k));
         let idx_bytes = read_blob(&idx_path)?;
         if idx_bytes.len() != chunk.nnz * 4 {
             return Err(StoreError::Corrupt {
@@ -705,15 +596,15 @@ fn open_axis(
         }
         for b in idx_bytes.chunks_exact(4) {
             let i = u32::from_le_bytes(b.try_into().expect("chunks_exact(4)")) as usize;
-            if i >= bound {
+            if i >= rows {
                 return Err(StoreError::Corrupt {
                     path: idx_path,
-                    detail: format!("chunk {k}: index {i} out of bounds (< {bound} required)"),
+                    detail: format!("chunk {k}: index {i} out of bounds (< {rows} required)"),
                 });
             }
         }
 
-        let val_path = axis_dir.join("data").join(chunk_file(k));
+        let val_path = col_dir.join("data").join(chunk_file(k));
         let val_bytes = read_blob(&val_path)?;
         if val_bytes.len() != chunk.nnz * 4 {
             return Err(StoreError::Corrupt {
@@ -739,7 +630,7 @@ fn open_axis(
         }
     }
 
-    Ok(Axis { name, ptr, chunks })
+    Ok(ptr)
 }
 
 // ---------------------------------------------------------------------
@@ -926,7 +817,7 @@ fn render_manifest(
     cols: usize,
     nnz: usize,
     chunk_target_nnz: usize,
-    axes: &[(&str, &Vec<ChunkProfile>)],
+    chunks: &[ChunkProfile],
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -936,26 +827,20 @@ fn render_manifest(
     s.push_str(&format!("  \"cols\": {cols},\n"));
     s.push_str(&format!("  \"nnz\": {nnz},\n"));
     s.push_str(&format!("  \"chunk_target_nnz\": {chunk_target_nnz},\n"));
-    for (i, (name, chunks)) in axes.iter().enumerate() {
-        s.push_str(&format!("  \"{name}\": [\n"));
-        for (k, c) in chunks.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"start\": {}, \"end\": {}, \"nnz\": {}, \"max_line_nnz\": {}, \
-                 \"disk_bytes\": {}}}{}\n",
-                c.lines.start,
-                c.lines.end,
-                c.nnz,
-                c.max_line_nnz,
-                c.disk_bytes,
-                if k + 1 < chunks.len() { "," } else { "" }
-            ));
-        }
+    s.push_str(&format!("  \"{COLUMN_DIR}\": [\n"));
+    for (k, c) in chunks.iter().enumerate() {
         s.push_str(&format!(
-            "  ]{}\n",
-            if i + 1 < axes.len() { "," } else { "" }
+            "    {{\"start\": {}, \"end\": {}, \"nnz\": {}, \"max_line_nnz\": {}, \
+             \"disk_bytes\": {}}}{}\n",
+            c.lines.start,
+            c.lines.end,
+            c.nnz,
+            c.max_line_nnz,
+            c.disk_bytes,
+            if k + 1 < chunks.len() { "," } else { "" }
         ));
     }
-    s.push_str("}\n");
+    s.push_str("  ]\n}\n");
     s
 }
 
@@ -965,8 +850,7 @@ struct ParsedManifest {
     cols: usize,
     nnz: usize,
     chunk_target_nnz: usize,
-    by_column: Vec<ChunkProfile>,
-    by_row: Vec<ChunkProfile>,
+    chunks: Vec<ChunkProfile>,
 }
 
 fn parse_manifest(text: &str) -> std::result::Result<ParsedManifest, String> {
@@ -1027,8 +911,7 @@ fn parse_manifest(text: &str) -> std::result::Result<ParsedManifest, String> {
         cols: num("cols")? as usize,
         nnz: num("nnz")? as usize,
         chunk_target_nnz: num("chunk_target_nnz")? as usize,
-        by_column: chunks("by_column")?,
-        by_row: chunks("by_row")?,
+        chunks: chunks(COLUMN_DIR)?,
     })
 }
 
@@ -1076,8 +959,6 @@ mod tests {
                     .collect::<Vec<_>>(),
                 a.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
-            let csr = store.read_csr().unwrap();
-            assert_eq!(csr, a.to_csr());
             fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -1100,12 +981,6 @@ mod tests {
                 store.resident_bytes(range.clone()),
                 slice.heap_bytes(),
                 "{range:?}"
-            );
-        }
-        for range in [0..8, 10..24, 2..3] {
-            assert_eq!(
-                store.read_row_range(range.clone()).unwrap(),
-                a.to_csr().row_range(range)
             );
         }
         assert!(matches!(
@@ -1147,9 +1022,21 @@ mod tests {
             let a = Csc::empty(rows, cols);
             let store = SparseStore::write(&dir, &a).unwrap();
             assert_eq!(store.read_csc().unwrap(), a);
-            assert_eq!(store.read_csr().unwrap(), a.to_csr());
             fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn written_store_holds_only_manifest_and_column_chunks() {
+        let dir = temp_dir("layout");
+        SparseStore::write_with_chunk_nnz(&dir, &clustered(16), 4).unwrap();
+        let mut entries: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        entries.sort();
+        assert_eq!(entries, ["by_column", "manifest.json"]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1331,22 +1218,36 @@ mod tests {
                 disk_bytes: 17,
             },
         ];
-        let text = render_manifest(9, 8, 12, 6, &[("by_column", &chunks), ("by_row", &chunks)]);
+        let text = render_manifest(9, 8, 12, 6, &chunks);
         let parsed = parse_manifest(&text).unwrap();
         assert_eq!(parsed.rows, 9);
         assert_eq!(parsed.cols, 8);
         assert_eq!(parsed.nnz, 12);
         assert_eq!(parsed.chunk_target_nnz, 6);
-        assert_eq!(parsed.by_column, chunks);
-        assert_eq!(parsed.by_row, chunks);
-        // Unsupported version is a parse error, not a misread.
-        let future = text.replace("\"version\": 1", "\"version\": 2");
-        assert!(parse_manifest(&future).is_err());
+        assert_eq!(parsed.chunks, chunks);
+        // A version-1 (two-orientation) manifest is refused with a typed
+        // error naming both versions, not half-read.
+        let dir = temp_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        let current = format!("\"version\": {FORMAT_VERSION}");
+        assert!(text.contains(&current));
+        fs::write(
+            dir.join("manifest.json"),
+            text.replace(&current, "\"version\": 1"),
+        )
+        .unwrap();
+        let err = SparseStore::open(&dir).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Manifest { detail, .. }
+                if detail.contains("version 1") && detail.contains(&format!("reads {FORMAT_VERSION}"))),
+            "{err}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn manifest_typing_is_strict() {
-        let text = render_manifest(9, 8, 0, 6, &[("by_column", &vec![]), ("by_row", &vec![])]);
+        let text = render_manifest(9, 8, 0, 6, &[]);
         assert!(parse_manifest(&text).is_ok());
         for (from, to) in [
             ("\"rows\": 9", "\"rows\": 9.5"),

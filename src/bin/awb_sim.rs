@@ -29,10 +29,11 @@
 //! memory budget of MB megabytes per device (mutually exclusive with the
 //! fixed counts). Outputs are bit-identical in every combination.
 //!
-//! `--auto` delegates the whole choice — design point, shard counts,
-//! replay — to the calibrated per-layer cost model (`StrategyPolicy::Auto`):
-//! prepare profiles the input, scores the candidate space, and freezes the
-//! predicted-fastest configuration. It therefore rejects `--design`,
+//! `--auto` delegates the design point and shard counts to the calibrated
+//! per-layer cost model (`StrategyPolicy::Auto`): prepare profiles the
+//! input, scores the candidate space, and freezes the predicted-fastest
+//! configuration; replay stays as `--no-replay` sets it. It therefore
+//! rejects `--design`,
 //! `--shards`, and `--xw-shards` (the model owns those knobs), while
 //! `--mem-budget` still applies (it shapes the memory model the candidates
 //! are scored against). `sweep` runs the paper's design lineup at one PE
@@ -107,8 +108,8 @@ const USAGE: &str = "usage:
               mutually exclusive with --shards/--mem-budget
   --host-mem-budget: peak resident sparse bytes of the streaming pipeline
               in MB (>= 1; default 256); requires --store
-  --auto:     let the calibrated cost model pick the design point, shard
-              counts, and replay at prepare time; rejects --design,
+  --auto:     let the calibrated cost model pick the design point and
+              shard counts at prepare time; rejects --design,
               --shards and --xw-shards (--mem-budget still applies: it
               shapes the memory model candidates are scored against)
   sweep: runs the paper design lineup at one PE count and prints per-point
@@ -516,8 +517,10 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
             .ok_or("--auto produced no decision")?;
         if !opts.csv {
             println!(
-                "auto      : chose {} (predicted {:.0} cycles, {} candidates scored)",
+                "auto      : chose {} | replay {} (predicted {:.0} cycles, {} candidates \
+                 scored)",
                 decision.label(),
+                if config.replay { "on" } else { "off" },
                 decision.predicted_cycles,
                 decision.candidates_scored,
             );
